@@ -324,7 +324,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default from config)")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker threads (default from config, else 1)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--cache-dir", default=None,
                         help=f"greens-table cache (default ${CACHE_ENV})")
@@ -339,7 +340,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("output_dir", ".")
-        threads = args.threads or cfg.get("threads", 1)
+        threads = (args.threads if args.threads is not None
+                   else cfg.get("threads", 1))
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
         if args.command == "scan":

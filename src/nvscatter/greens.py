@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,13 +342,22 @@ def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
     are reloaded from / saved to files keyed by (lambda, R, N, rule id).
     """
     lam_c = _as_lambda(lam)
+    rule_id = f"residue1d-gl{16 * refine}-avg{avg_radius}"
     cache_path = None
     if cache_dir is not None:
-        rule_id = f"residue1d-gl{16 * refine}-avg{avg_radius}"
         cache_path = os.path.join(str(cache_dir),
                                   cache_key(lam_c, grid, rule_id) + ".bin")
         if os.path.exists(cache_path):
-            return load_table(cache_path)
+            table = load_table(cache_path)
+            if (table.lam != lam_c or table.grid != grid
+                    or table.record["rule_id"] != rule_id):
+                raise ValueError(
+                    f"cache file {cache_path} holds lambda={table.lam!r}, "
+                    f"R={table.grid.R!r}, N={table.grid.N}, rule "
+                    f"{table.record['rule_id']!r}; requested "
+                    f"lambda={lam_c!r}, R={grid.R!r}, N={grid.N}, rule "
+                    f"{rule_id!r}")
+            return table
     N, h = grid.N, grid.h
     d = (np.arange(2 * N) - N) * h
     quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine)
@@ -373,7 +383,7 @@ def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
 
     record = {
         "singular_points": [[z.real, z.imag] for z in singular_points(lam_c)],
-        "rule_id": f"residue1d-gl{16 * refine}-avg{avg_radius}",
+        "rule_id": rule_id,
         "error_estimate": estimate,
         "near_T": bool(abs(abs(lam_c) - 1.0) < 1e-3),
         "xi_inner": quad.xi_inner,
@@ -529,10 +539,20 @@ def save_table(table: GreensTable, path) -> None:
               "error_estimate": table.record.get("error_estimate"),
               "record": {k: v for k, v in table.record.items()
                          if k != "error_estimate"}}
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8"))
-        f.write(b"\n")
-        f.write(np.ascontiguousarray(table.samples, dtype="<c16").tobytes())
+    # write a temporary file beside the target, then rename it over the
+    # target: a reader sees either no file or a complete one
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(json.dumps(header).encode("utf-8"))
+            f.write(b"\n")
+            f.write(np.ascontiguousarray(table.samples,
+                                         dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path) -> GreensTable:
@@ -544,12 +564,12 @@ def load_table(path) -> GreensTable:
     samples = np.frombuffer(payload, dtype="<c16").reshape(n, n).copy()
     record = dict(header.get("record", {}))
     record["error_estimate"] = header.get("error_estimate")
-    record.setdefault("rule_id", header["rule_id"])
+    record["rule_id"] = header["rule_id"]
     lam = complex(header["lam_re"], header["lam_im"])
     return GreensTable(lam, grid, samples, record)
 
 
 def cache_key(lam, grid: Grid, rule_id: str) -> str:
     lam = _as_lambda(lam)
-    return (f"g_{lam.real:.12g}_{lam.imag:.12g}_R{grid.R:.6g}_N{grid.N}_"
+    return (f"g_{lam.real:.17g}_{lam.imag:.17g}_R{grid.R:.6g}_N{grid.N}_"
             f"{rule_id}").replace("/", "_")

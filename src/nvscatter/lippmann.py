@@ -11,6 +11,8 @@ is Hilbert-Schmidt for decaying v, and the regularized determinant
     Delta = prod_i (1 - mu_i) exp(mu_i)            (mu_i = eigenvalues of A)
           = det(I - A) * exp(Tr A)
 
+is computed by the second form, from an LU factorisation of I - A.
+
 detects the exceptional set E = {lambda : Delta(lambda) = 0} where the
 mu-equation loses unique solvability.
 """
@@ -164,12 +166,12 @@ def build_kernel(v: Potential, table: GreensTable, eps: float = 1.0,
     N = v.grid.N
     if N > dense_cap:
         raise ValueError(f"dense determinant mode capped at N={dense_cap}; "
-                         "got N={N}")
+                         f"got N={N}")
     h = v.grid.h
     vmax = np.max(np.abs(v.samples))
     mask = np.abs(v.samples) > support_rtol * vmax if vmax > 0 else \
         np.zeros((N, N), dtype=bool)
-    ii, jj = np.nonzero(mask)
+    ii, jj = (x.astype(np.int32) for x in np.nonzero(mask))
     ns = ii.size
     if ns == 0:
         return KernelMatrix(table.lam, v.grid, eps, mask,
@@ -177,25 +179,35 @@ def build_kernel(v: Potential, table: GreensTable, eps: float = 1.0,
     z = v.grid.nodes()[mask]
     w = (1.0 + np.abs(z)) ** ((2.0 + eps) / 2.0)
     col = v.samples[mask] * h * h * w
-    gblock = table.samples[ii[:, None] - ii[None, :] + N,
-                           jj[:, None] - jj[None, :] + N]
-    dense = (gblock * col[None, :]) / w[:, None]
+    # one flat int32 gather of g(z_p - z_q) into the table's (2N)^2 entries
+    flat = (ii[:, None] - ii[None, :] + N) * (2 * N)
+    flat += jj[:, None] - jj[None, :] + N
+    dense = table.samples.ravel()[flat]
+    del flat
+    dense *= col[None, :]
+    dense /= w[:, None]
     trace = table.samples[N, N] * complex(np.sum(v.samples[mask])) * h * h
-    block_fro = float(np.linalg.norm(dense))
-
-    # full-row HS norm: all grid rows against the support columns, chunked
-    inv_w2 = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + eps))
-    ai = np.arange(N)[:, None, None]
-    aj = np.arange(N)[None, :, None]
-    hs2 = 0.0
-    for start in range(0, ns, 256):
-        sl = slice(start, start + 256)
-        gb = table.samples[ai - ii[None, None, sl] + N,
-                           aj - jj[None, None, sl] + N]
-        s = np.einsum("abk,ab->k", np.abs(gb) ** 2, inv_w2)
-        hs2 += float(np.sum(np.abs(col[sl]) ** 2 * s))
+    block_fro = float(np.sqrt(np.vdot(dense, dense).real))
+    hs2 = float(np.sum(np.abs(col) ** 2 * _row_weight_sums(table, eps)[mask]))
     return KernelMatrix(table.lam, v.grid, eps, mask, dense, trace,
                         float(np.sqrt(hs2)), block_fro)
+
+
+def _row_weight_sums(table: GreensTable, eps: float) -> np.ndarray:
+    """S(q) = sum over ALL grid nodes p of (1+|z_p|)^-(2+eps) |g(z_p - z_q)|^2.
+
+    One padded-FFT correlation of the row weights with |g|^2 over the table's
+    difference grid: the offsets p - q span -(N-1)..N-1 per axis, so a
+    circular correlation of size 2N never wraps, and the table's offset -N
+    never enters.
+    """
+    N = table.grid.N
+    pad = np.zeros((2 * N, 2 * N))
+    pad[:N, :N] = (1.0 + np.abs(table.grid.nodes())) ** (-(2.0 + eps))
+    g2 = np.abs(table.samples) ** 2
+    corr = np.fft.irfft2(np.conj(np.fft.rfft2(pad)) * np.fft.rfft2(g2),
+                         s=g2.shape)
+    return corr[N:0:-1, N:0:-1]
 
 
 def solve_weighted(kernel: KernelMatrix) -> np.ndarray:
@@ -228,81 +240,42 @@ class DeterminantSample:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _logdet_lu(mat: np.ndarray) -> complex:
-    lu, piv = lu_factor(mat)
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    logdet = complex(np.sum(np.log(np.diag(lu).astype(complex))))
-    if swaps % 2:
-        logdet += 1j * np.pi
-    return logdet
-
-
-def _head_eigenvalues(kernel: KernelMatrix, rank: int, tail_tol: float,
-                      dense_eig_cap: int = 2500):
-    """All eigenvalues when the block is small, else a randomized projection.
-
-    Projection: Q spans A*Omega; nonzero eigenvalues of Q Q^H A equal those
-    of the small matrix (Q^H A) Q, and the discarded part is measured by the
-    Frobenius defect d^2 = ||A||_F^2 - ||Q^H A||_F^2, which bounds the tail
-    eigenvalue energy sum |mu_i|^2.  The caller repairs the tail to second
-    order through the exact Tr A^2, so d only needs to make the THIRD-order
-    remainder (at most d^3) negligible; rank doubles until d^2 <= tail_tol.
-    """
-    a = kernel.dense
-    ns = a.shape[0]
-    if ns <= dense_eig_cap:
-        return np.linalg.eigvals(a), 0.0
-    rng = np.random.default_rng(12345)
-    r = min(rank, ns)
-    while True:
-        omega = rng.standard_normal((ns, r)) + 1j * rng.standard_normal((ns, r))
-        q, _ = np.linalg.qr(a @ omega)
-        b = q.conj().T @ a
-        defect2 = max(kernel.block_fro ** 2 - np.linalg.norm(b) ** 2, 0.0)
-        if defect2 <= tail_tol or r >= ns:
-            return np.linalg.eigvals(b @ q), float(np.sqrt(defect2))
-        r = min(2 * r, ns)
-
-
-def modified_fredholm_det(kernel: KernelMatrix, method: str = "eigen",
-                          rank: int = 768, tail_tol: float = 1e-6,
+def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
                           near_one_tol: float = 1e-12) -> DeterminantSample:
-    """Delta = prod (1 - mu_i) e^{mu_i} (eigen) or det(I-A) e^{Tr A} (lu).
+    """Delta = det(I - A) e^{Tr A} from an LU factorisation of I - A.
 
-    The eigen backend accumulates ln(1-mu_i)+mu_i in decreasing and
-    increasing |mu_i| order and records the gap; an eigenvalue within
-    near_one_tol of 1 marks lambda as (near) exceptional.  When the head
-    spectrum is randomized-truncated, ln Delta gains the exact second-order
-    tail term -(Tr A^2 - sum mu_head^2)/2.
+    The kernel is left unchanged: I - A is formed once as a Fortran-ordered
+    copy of (I - A)^T, which has the same determinant and is factored in
+    place.  Pivot swaps fix the sign.  A pivot that is exactly zero, or a
+    smallest-to-largest |U_ii| ratio below near_one_tol, marks lambda as
+    (near) exceptional; the ratio is kept as diagnostics["min_pivot_ratio"].
+    "lu" is the only method.
     """
+    if method != "lu":
+        raise ValueError(f"unknown method {method!r}")
     ns = kernel.size
     if ns == 0:
-        return DeterminantSample(kernel.lam, 1.0 + 0j, 0.0, 0, method, 0.0)
-    if method == "lu":
-        logdet = _logdet_lu(np.eye(ns) - kernel.dense)
-        delta = np.exp(logdet + kernel.trace)
-        return DeterminantSample(kernel.lam, complex(delta),
-                                 abs(delta.imag), ns, "lu-logdet",
-                                 kernel.hs_norm)
-    if method != "eigen":
-        raise ValueError(f"unknown method {method!r}")
-    mu, tail = _head_eigenvalues(kernel, rank, tail_tol)
-    order = np.argsort(np.abs(mu))[::-1]
-    terms = np.log1p(-mu[order]) + mu[order]
+        return DeterminantSample(kernel.lam, 1.0 + 0j, 0.0, 0, "lu-logdet",
+                                 0.0)
+    mat = np.negative(kernel.dense.T, order="F")
+    mat[np.diag_indices(ns)] += 1.0
+    lu, piv = lu_factor(mat, overwrite_a=True, check_finite=False)
+    u = np.diag(lu)
+    pivots = np.abs(u)
+    ratio = float(pivots.min() / pivots.max()) if pivots.max() > 0 else 0.0
     flag = ""
-    if np.min(np.abs(1.0 - mu)) < near_one_tol:
+    if ratio < near_one_tol:
         flag = "lambda in (or near) exceptional set E"
-    tail_term = 0j
-    if tail > 0:
-        tr2 = complex(np.sum(kernel.dense * kernel.dense.T))
-        tail_term = -0.5 * (tr2 - complex(np.sum(mu * mu)))
-    s_desc = complex(np.sum(terms)) + tail_term
-    s_asc = complex(np.sum(terms[::-1])) + tail_term
-    delta = np.exp(s_desc)
-    diag = {"order_gap": abs(np.exp(s_asc) - delta),
-            "tail_defect": tail, "tail_bound": tail ** 3}
-    return DeterminantSample(kernel.lam, complex(delta), abs(delta.imag),
-                             len(mu), "eigen", kernel.hs_norm, flag, diag)
+    if ratio == 0.0:
+        delta = 0j
+    else:
+        logdet = complex(np.sum(np.log(u)))
+        if np.count_nonzero(piv != np.arange(ns)) % 2:
+            logdet += 1j * np.pi
+        delta = complex(np.exp(logdet + kernel.trace))
+    return DeterminantSample(kernel.lam, delta, abs(delta.imag), ns,
+                             "lu-logdet", kernel.hs_norm, flag,
+                             {"min_pivot_ratio": ratio})
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +283,7 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "eigen",
 
 
 def determinant_scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-                     method: str = "eigen", threads: int = 1,
+                     threads: int = 1,
                      table_opts: dict | None = None) -> list[DeterminantSample]:
     """Determinant per lambda; per-point failures become flagged samples."""
     opts = table_opts or {}
@@ -320,9 +293,9 @@ def determinant_scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
         try:
             table = build_greens_table(v.grid, lam, **opts)
             kern = build_kernel(v, table, eps=eps)
-            return modified_fredholm_det(kern, method=method)
+            return modified_fredholm_det(kern)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            return DeterminantSample(lam, np.nan + 0j, np.nan, 0, method,
+            return DeterminantSample(lam, np.nan + 0j, np.nan, 0, "lu-logdet",
                                      np.nan, flag=f"failed: {exc}")
 
     if threads > 1:

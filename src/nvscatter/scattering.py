@@ -55,11 +55,17 @@ def compute_b(v: Potential, mu: MuField, max_freq_cells: float = 4.0) -> complex
         raise ValueError(
             f"aliasing guard: |kappa|={abs(kap):.3g} oscillates faster than "
             f"one period per {max_freq_cells} cells at h={h:.3g}")
-    z = v.grid.nodes()
-    expo = -0.5 * (kap * np.conj(z) - np.conj(kap) * z)
-    assert np.max(np.abs(expo.real)) < 1e-12  # purely oscillatory factor
-    phase = np.exp(expo)
+    phase = _b_phase(lam, v.grid.nodes())
     return complex(np.sum(phase * mu.samples * v.samples) * h * h / FOURPI2)
+
+
+def _b_phase(lam: complex, z: np.ndarray) -> np.ndarray:
+    """exp(-(kappa conj(z) - conj(kappa) z)/2) = exp(-i Im(kappa conj(z))).
+
+    Written through the imaginary part, so the modulus is one by
+    construction.
+    """
+    return np.exp(-1j * np.imag(_kappa(lam) * np.conj(z)))
 
 
 def born_b(v: Potential, lam) -> complex:
@@ -140,7 +146,7 @@ def scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
         if vanishing:
             return ScatteringRecord(lam, 0j, 0j,
                                     DeterminantSample(lam, 1.0 + 0j, 0.0, 0,
-                                                      "eigen", 0.0)
+                                                      "lu-logdet", 0.0)
                                     if with_determinant else None, 0.0, [])
         try:
             table = build_greens_table(v.grid, lam, **opts)

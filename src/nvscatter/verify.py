@@ -259,7 +259,7 @@ def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
         return _inapplicable("dbar_lndelta", anchor, "stencil crosses T or 0")
 
     def lnd_of(l):
-        table = build_greens_table(v.grid, l)
+        table = build_greens_table(v.grid, l, **(table_opts or {}))
         kern = build_kernel(v, table, eps=eps)
         d = modified_fredholm_det(kern).delta
         if abs(d) < 1e-8:

@@ -120,6 +120,24 @@ def test_cache_dir_flag(tmp_path):
     assert {f: (cache / f).stat().st_mtime_ns for f in files} == mtimes
 
 
+def test_threads_from_config(tmp_path, monkeypatch):
+    import nvscatter.cli as cli
+
+    seen = {}
+
+    def fake_scan(cfg, out_dir, threads, cache_dir):
+        seen["threads"] = threads
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_scan", fake_scan)
+    cfg = write_cfg(tmp_path, threads=2)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert seen["threads"] == 2
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    assert seen["threads"] == 1
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     cache = tmp_path / "envcache"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.special import k0
@@ -176,6 +178,26 @@ def test_build_cache_roundtrip(tmp_path):
     assert (tmp_path / (key + ".bin")).exists()
     t2 = build_greens_table(grid, 0.5, cache_dir=tmp_path)
     np.testing.assert_array_equal(t1.samples, t2.samples)
+
+
+def test_cache_rejects_forged_header(tmp_path):
+    grid = make_grid(8.0, 16)
+    t = build_greens_table(grid, 0.5, error_probe=False)
+    key = cache_key(0.5, grid, t.record["rule_id"])
+    forged = GreensTable(0.5 + 1e-13j, grid, t.samples, t.record)
+    save_table(forged, tmp_path / (key + ".bin"))
+    with pytest.raises(ValueError, match=key):
+        build_greens_table(grid, 0.5, error_probe=False, cache_dir=tmp_path)
+
+
+def test_cache_writes_leave_no_temporary(tmp_path):
+    grid = make_grid(8.0, 16)
+    for lam in (0.5, 0.5 + 1e-13):
+        build_greens_table(grid, lam, error_probe=False, cache_dir=tmp_path)
+    files = sorted(os.listdir(tmp_path))
+    # %.12g would give both lambda the same key
+    assert len(files) == 2
+    assert all(f.endswith(".bin") for f in files)
 
 
 def test_lambda_validation():

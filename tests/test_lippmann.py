@@ -1,15 +1,17 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
-from nvscatter.greens import build_greens_table
+from nvscatter.greens import GreensTable, build_greens_table
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
-from nvscatter.lippmann import (DeterminantSample, apply_conv, build_kernel,
-                                conv_kernel_hat, detect_exceptional,
-                                determinant_scan, modified_fredholm_det,
-                                save_determinant_csv, solve_mu,
-                                solve_weighted)
+from nvscatter.lippmann import (DeterminantSample, KernelMatrix, apply_conv,
+                                build_kernel, conv_kernel_hat,
+                                detect_exceptional, determinant_scan,
+                                modified_fredholm_det, save_determinant_csv,
+                                solve_mu, solve_weighted)
 
 
 @pytest.fixture(scope="module")
@@ -93,19 +95,90 @@ def test_kernel_rejects_bad_eps(gauss64, table_half):
         build_kernel(gauss64, table_half, eps=0.0)
 
 
-def test_determinant_backends_agree(gauss64, table_half):
-    kern = build_kernel(gauss64, table_half)
-    d_eig = modified_fredholm_det(kern, method="eigen")
-    d_lu = modified_fredholm_det(kern, method="lu")
-    assert d_eig.delta == pytest.approx(d_lu.delta, rel=1e-9)
-    assert d_eig.method == "eigen"
-    assert d_lu.method == "lu-logdet"
+def _eigen_delta(kern):
+    """Oracle: prod (1 - mu_i) e^{mu_i} over all eigenvalues of the block."""
+    mu = np.linalg.eigvals(kern.dense)
+    return complex(np.prod((1.0 - mu) * np.exp(mu)))
 
 
-def test_determinant_accumulation_orders(gauss64, table_half):
+def test_lu_matches_eigen_oracle(gauss64, table_half):
     kern = build_kernel(gauss64, table_half)
+    before = kern.dense.copy()
     d = modified_fredholm_det(kern)
-    assert d.diagnostics["order_gap"] < 1e-10
+    np.testing.assert_array_equal(kern.dense, before)  # kernel untouched
+    assert d.delta == pytest.approx(_eigen_delta(kern), rel=1e-9)
+    assert d.method == "lu-logdet"
+    assert d.n_eigs == kern.size
+    assert d.flag == ""
+    assert 0.5 < d.diagnostics["min_pivot_ratio"] <= 1.0
+
+
+def test_lu_sign_change_matches_eigen_oracle(grid64):
+    """Gaussian A = -20 on the ray arg lambda = 0.3: Delta changes sign
+    between |lambda| = 0.5 and 0.55, so the LU sign (pivot parity) must
+    agree with the eigenvalue product on both sides."""
+    v = sample_potential(grid64, "gaussian", {"A": -20.0, "sigma": 1.0})
+    deltas = []
+    for r in (0.5, 0.55):
+        table = build_greens_table(grid64, r * np.exp(0.3j))
+        kern = build_kernel(v, table)
+        d = modified_fredholm_det(kern)
+        assert d.delta == pytest.approx(_eigen_delta(kern), rel=1e-9)
+        deltas.append(d.delta.real)
+    assert deltas[0] > 0 > deltas[1]
+
+
+def _hs_norm_loop(v, table, eps):
+    """Oracle: full-row HS norm by direct summation, in chunks of columns."""
+    N, h = v.grid.N, v.grid.h
+    mask = np.abs(v.samples) > 1e-12 * np.max(np.abs(v.samples))
+    ii, jj = np.nonzero(mask)
+    w = (1.0 + np.abs(v.grid.nodes()[mask])) ** ((2.0 + eps) / 2.0)
+    col = v.samples[mask] * h * h * w
+    inv_w2 = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + eps))
+    ai = np.arange(N)[:, None, None]
+    aj = np.arange(N)[None, :, None]
+    hs2 = 0.0
+    for start in range(0, ii.size, 256):
+        sl = slice(start, start + 256)
+        gb = table.samples[ai - ii[None, None, sl] + N,
+                           aj - jj[None, None, sl] + N]
+        s = np.einsum("abk,ab->k", np.abs(gb) ** 2, inv_w2)
+        hs2 += float(np.sum(np.abs(col[sl]) ** 2 * s))
+    return np.sqrt(hs2)
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.5])
+def test_hs_norm_matches_direct_sum(gauss64, table_half, eps):
+    kern = build_kernel(gauss64, table_half, eps=eps)
+    assert kern.hs_norm == pytest.approx(
+        _hs_norm_loop(gauss64, table_half, eps), rel=1e-12)
+
+
+def test_eigenvalue_one_is_flagged():
+    """A synthetic block with eigenvalue 1: near-zero and exactly zero pivot."""
+    grid = make_grid(8.0, 16)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+    rotated = q @ np.diag([1.0, 0.5, 0.25, -0.3, 0.1, 0.0]) @ q.T
+    for dense in (rotated.astype(complex), np.diag([0.5, 1.0, 0.2]) + 0j):
+        n = dense.shape[0]
+        kern = KernelMatrix(0.5 + 0j, grid, 1.0, np.zeros((16, 16), bool),
+                            dense, complex(np.trace(dense)), 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            d = modified_fredholm_det(kern)
+        assert "exceptional" in d.flag
+        assert d.diagnostics["min_pivot_ratio"] < 1e-12
+        assert abs(d.delta) < 1e-12
+        assert d.n_eigs == n
+
+
+def test_kernel_cap_message():
+    grid = make_grid(8.0, 16)
+    v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
+    table = GreensTable(0.5 + 0j, grid, np.zeros((32, 32), complex), {})
+    with pytest.raises(ValueError, match="got N=16"):
+        build_kernel(v, table, dense_cap=8)
 
 
 def test_determinant_weight_independence(gauss64, table_half):
@@ -145,21 +218,6 @@ def test_determinant_unknown_method(gauss64, table_half):
     kern = build_kernel(gauss64, table_half)
     with pytest.raises(ValueError, match="method"):
         modified_fredholm_det(kern, method="qr")
-
-
-def test_randomized_tail_repair(gauss64, table_half):
-    """Force the projection path; must match the dense-eigen result."""
-    kern = build_kernel(gauss64, table_half)
-    exact = modified_fredholm_det(kern)
-    from nvscatter.lippmann import _head_eigenvalues
-
-    mu, tail = _head_eigenvalues(kern, rank=64, tail_tol=1e-4,
-                                 dense_eig_cap=8)
-    assert tail > 0
-    tr2 = complex(np.sum(kern.dense * kern.dense.T))
-    logd = complex(np.sum(np.log1p(-mu) + mu)) \
-        - 0.5 * (tr2 - complex(np.sum(mu * mu)))
-    assert np.exp(logd) == pytest.approx(exact.delta, rel=1e-7)
 
 
 def test_scan_and_detect_no_exceptional_for_weak_potential(grid64):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from nvscatter.grids import (gaussian_hat, make_grid, make_lambda_grid,
                              sample_potential)
-from nvscatter.lippmann import solve_mu
-from nvscatter.scattering import (_kappa, born_b, compute_a, compute_b,
-                                  load_scattering, r_coefficient,
+from nvscatter.lippmann import MuField, solve_mu
+from nvscatter.scattering import (_b_phase, _kappa, born_b, compute_a,
+                                  compute_b, load_scattering, r_coefficient,
                                   save_scattering, save_scattering_csv, scan)
 
 
@@ -88,6 +88,23 @@ def test_r_coefficient_signs():
     assert outside == pytest.approx(np.pi * b / 2.0)
     with pytest.raises(ValueError, match="unit circle|lambda"):
         r_coefficient(np.exp(0.2j), b)
+
+
+def test_b_phase_is_unimodular_and_matches_old_formula(gauss64):
+    grid = gauss64.grid
+    z = grid.nodes()
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+    for lam in (0.5, 0.3 * np.exp(1.1j), 2.2 * np.exp(-0.4j)):
+        lam = complex(lam)
+        phase = _b_phase(lam, z)
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
+        kap = _kappa(lam)
+        old = np.exp(-0.5 * (kap * np.conj(z) - np.conj(kap) * z))
+        ref = np.sum(old * samples * gauss64.samples) * grid.h ** 2 \
+            / (4.0 * np.pi ** 2)
+        b = compute_b(gauss64, MuField(lam, grid, samples, 0.0, 0))
+        assert b == pytest.approx(ref, rel=1e-14)
 
 
 def test_grid_mismatch_rejected(gauss64, mu_half):

@@ -1,11 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvscatter.grids import make_lambda_grid, sample_potential
+from nvscatter.greens import cache_key
+from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
 from nvscatter.scattering import scan
 from nvscatter.verify import (CheckRecord, VerificationReport,
                               assemble_report, check_ab_on_T, check_dbar_a,
@@ -93,6 +95,18 @@ def test_dbar_lndelta(weak64):
     # N = 64 resolution limits this residual to the several-percent range
     rec = check_dbar_lndelta(weak64, 0.4, tol=0.12)
     assert rec.status == "pass", rec.residual
+
+
+def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
+    grid = make_grid(8.0, 16)
+    v = sample_potential(grid, "gaussian", {"A": 0.3, "sigma": 1.0})
+    lam, h = 0.4 + 0j, 1e-3
+    check_dbar_lndelta(v, lam, h_step=h,
+                       table_opts={"cache_dir": tmp_path, "refine": 1})
+    files = set(os.listdir(tmp_path))
+    for step in (h, h / 2):
+        for l in (lam + step, lam - step, lam + 1j * step, lam - 1j * step):
+            assert cache_key(l, grid, "residue1d-gl16-avg1") + ".bin" in files
 
 
 def test_shift_phase_unit_modulus():
