@@ -24,7 +24,7 @@ from .grids import (Potential, load_potential, make_grid, make_lambda_grid,
                     sample_potential)
 from .lippmann import save_determinant_csv
 from .scattering import (ScatteringData, load_scattering, save_scattering,
-                         save_scattering_csv, scan)
+                         save_scattering_csv, scan, write_scattering_csv)
 from . import verify as V
 
 CACHE_ENV = "NVSCATTER_CACHE"
@@ -303,16 +303,8 @@ def cmd_export(cfg: dict, out_dir: str, scan_file: str | None) -> int:
     doc = load_scattering(src)
     os.makedirs(out_dir, exist_ok=True)
     dst = os.path.join(out_dir, "scattering_export.csv")
-    import csv as _csv
-    with open(dst, "w", newline="") as f:
-        wr = _csv.writer(f)
-        wr.writerow(["re_lambda", "im_lambda", "re_a", "im_a", "re_b",
-                     "im_b", "re_delta", "im_delta", "flags"])
-        for lam, a, b, d, fl in zip(doc["lambda"], doc["a"], doc["b"],
-                                    doc["delta"], doc["flags"]):
-            d = d if d is not None else complex("nan")
-            wr.writerow([lam.real, lam.imag, a.real, a.imag, b.real, b.imag,
-                         d.real, d.imag, ";".join(fl)])
+    write_scattering_csv(dst, doc["lambda"], doc["a"], doc["b"],
+                         doc["delta"], doc["flags"])
     print(f"export: wrote {dst}")
     return 0
 

@@ -28,6 +28,7 @@ On |lambda| = 1 the exact value is G(z, lambda) = -K0(|z|) / (2 pi).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -41,6 +42,10 @@ FOURPI2 = 4.0 * np.pi**2
 
 # average of ln|u| over the unit square [-1/2, 1/2]^2
 LOG_CELL_AVG = np.pi / 4.0 - 1.5 - 0.5 * np.log(2.0)
+
+# block length of the table's outer-zone Fourier factor, reduced to
+# gcd(2N, TENSOR_BLOCK) so that the blocks tile the 2N offsets
+TENSOR_BLOCK = 16
 
 
 class QuadratureError(RuntimeError):
@@ -203,37 +208,67 @@ class _SymbolQuadrature:
                                     - self._masked_exp(p2, xn, m2))
         return out
 
+    def _zones(self, x1: np.ndarray):
+        """Masks over x1: the outer zone is needed where |x1| < x1_zone,
+        the analytic E1 tail where |x1| * xi_outer < 40."""
+        a = np.abs(x1)
+        return a < self.x1_zone, a * self.xi_outer < 40.0
+
     def _tail(self, x1: np.ndarray, x2: np.ndarray):
-        """Analytic |xi2| > xi_outer remainder; valid while |x1|*xi_outer < 40."""
+        """Analytic |xi2| > xi_outer remainder, broadcast over x1 and x2;
+        0 at x1 = x2 = 0, where it diverges."""
+        x1, x2 = np.broadcast_arrays(x1, x2)
+        keep = (np.abs(x1) + np.abs(x2)) > 0
+        x1, x2 = x1[keep], x2[keep]
         Xi = self.xi_outer
         a = np.abs(x1)
         arg_p = (a - 1j * x2) * (Xi + self.m)
         arg_m = (a + 1j * x2) * (Xi - self.m)
         pref = np.pi * np.exp(self.A * x1 - 1j * self.m * x2)
-        return pref * (exp1(arg_p) + exp1(arg_m))
+        out = np.zeros(keep.shape, dtype=complex)
+        out[keep] = pref * (exp1(arg_p) + exp1(arg_m))
+        return out
+
+    def _outer_tensor(self, x1: np.ndarray, shifts: np.ndarray,
+                      base: np.ndarray) -> np.ndarray:
+        """Outer-zone sum on x1 (rows) x (shifts (+) base) (cols).
+
+        Column b*len(base) + j sits at x2 = shifts[b] + base[j].  Since
+        exp(i xi (s + t)) = exp(i xi s) exp(i xi t), the Fourier factor is
+        one (K x len(base)) exp shared by all blocks; each block multiplies
+        one exp(i xi s) column into the weighted integrand and does a small
+        matmul.
+        """
+        I_out = self._residue_integrand(self.nodes_out, x1) * self.w_out[:, None]
+        F_base = np.exp(1j * np.outer(self.nodes_out, base))
+        out = np.empty((x1.size, shifts.size, base.size), dtype=complex)
+        for b, s in enumerate(shifts):
+            col = np.exp(1j * s * self.nodes_out)[:, None]
+            out[:, b, :] = (I_out * col).T @ F_base
+        return out.reshape(x1.size, -1)
 
     # -- public evaluation --------------------------------------------------
 
-    def eval_tensor(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """g on the tensor grid x1 (rows) x x2 (cols); the x1 = x2 = 0 entry,
-        if present, is left as the (meaningless) truncated value."""
+    def eval_tensor(self, x1: np.ndarray, shifts: np.ndarray,
+                    base: np.ndarray) -> np.ndarray:
+        """g on the tensor grid x1 (rows) x x2 (cols), x2 given as blocks:
+        x2[b*len(base) + j] = shifts[b] + base[j].
+
+        The inner zone uses one full exp(i xi x2) factor; the outer zone
+        (only the |x1| < x1_zone rows) is block-shifted, see _outer_tensor.
+        The x1 = x2 = 0 entry, if present, is left as the (meaningless)
+        truncated value.
+        """
+        x2 = (shifts[:, None] + base[None, :]).ravel()
         F_in = np.exp(1j * np.outer(self.nodes_in, x2)) * self.w_in[:, None]
         I_in = self._residue_integrand(self.nodes_in, x1)
         g = I_in.T @ F_in
 
-        small = np.abs(x1) < self.x1_zone
-        if small.any():
-            F_out = np.exp(1j * np.outer(self.nodes_out, x2)) * self.w_out[:, None]
-            I_out = self._residue_integrand(self.nodes_out, x1[small])
-            g[small, :] += I_out.T @ F_out
-
-        tailed = np.abs(x1) * self.xi_outer < 40.0
+        outer, tailed = self._zones(x1)
+        if outer.any():
+            g[outer, :] += self._outer_tensor(x1[outer], shifts, base)
         if tailed.any():
-            xx1, xx2 = np.meshgrid(x1[tailed], x2, indexing="ij")
-            keep = (np.abs(xx1) + np.abs(xx2)) > 0
-            t = np.zeros_like(xx1, dtype=complex)
-            t[keep] = self._tail(xx1[keep], xx2[keep])
-            g[tailed, :] += t
+            g[tailed, :] += self._tail(x1[tailed, None], x2[None, :])
         return -g / FOURPI2
 
     def eval_points(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -245,14 +280,12 @@ class _SymbolQuadrature:
         # diagonal of (I^T F): per-point contraction
         g = np.einsum("kj,kj->j", I_in, F_in)
 
-        small = np.abs(x1) < self.x1_zone
-        if small.any():
-            F_out = (np.exp(1j * self.nodes_out[:, None] * x2[None, small])
+        outer, tailed = self._zones(x1)
+        if outer.any():
+            F_out = (np.exp(1j * self.nodes_out[:, None] * x2[None, outer])
                      * self.w_out[:, None])
-            I_out = self._residue_integrand(self.nodes_out, x1[small])
-            g[small] += np.einsum("kj,kj->j", I_out, F_out)
-
-        tailed = (np.abs(x1) * self.xi_outer < 40.0) & ((np.abs(x1) + np.abs(x2)) > 0)
+            I_out = self._residue_integrand(self.nodes_out, x1[outer])
+            g[outer] += np.einsum("kj,kj->j", I_out, F_out)
         if tailed.any():
             g[tailed] += self._tail(x1[tailed], x2[tailed])
         return -g / FOURPI2
@@ -302,30 +335,28 @@ class GreensTable:
 
 
 def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int,
-                   sub_order: int = 6) -> dict:
+                   sub_order: int = 6) -> np.ndarray:
     """Cell averages of g over cells centered at d*h, |d|_inf <= radius.
 
+    Returns a (2 radius + 1)^2 array; entry [d1 + radius, d2 + radius] is
+    the average over the cell at (d1 h, d2 h).  Every cell uses the same
+    sub_order x sub_order Gauss rule, so the whole patch is one tensor grid
+    (cell centres (+) Gauss offsets on each axis) and one eval_tensor call.
     The center cell subtracts the universal log(|u|)/(2 pi) singularity and
     adds back its exact cell average.
     """
     u, w = np.polynomial.legendre.leggauss(sub_order)
-    ua, ub = np.meshgrid(u, u, indexing="ij")
-    wa = np.outer(w, w).ravel() / 4.0
-    ua = ua.ravel() * h / 2.0
-    ub = ub.ravel() * h / 2.0
-    out = {}
-    for d1 in range(-radius, radius + 1):
-        for d2 in range(-radius, radius + 1):
-            x1 = d1 * h + ua
-            x2 = d2 * h + ub
-            vals = quad.eval_points(x1, x2)
-            if d1 == 0 and d2 == 0:
-                vals = vals - np.log(np.hypot(x1, x2)) / (2.0 * np.pi)
-                avg = np.sum(wa * vals) + (np.log(h) + LOG_CELL_AVG) / (2.0 * np.pi)
-            else:
-                avg = np.sum(wa * vals)
-            out[(d1, d2)] = complex(avg)
-    return out
+    centres = np.arange(-radius, radius + 1) * h
+    offsets = u * h / 2.0
+    x = (centres[:, None] + offsets[None, :]).ravel()
+    n = centres.size
+    vals = quad.eval_tensor(x, centres, offsets).reshape(n, sub_order,
+                                                         n, sub_order)
+    r = np.hypot(offsets[:, None], offsets[None, :])
+    vals[radius, :, radius, :] -= np.log(r) / (2.0 * np.pi)
+    avg = np.einsum("aibj,ij->ab", vals, np.outer(w, w) / 4.0)
+    avg[radius, radius] += (np.log(h) + LOG_CELL_AVG) / (2.0 * np.pi)
+    return avg
 
 
 def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
@@ -361,11 +392,11 @@ def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
     N, h = grid.N, grid.h
     d = (np.arange(2 * N) - N) * h
     quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine)
-    g = quad.eval_tensor(d, d)
+    block = math.gcd(2 * N, TENSOR_BLOCK)
+    g = quad.eval_tensor(d, np.arange(0, 2 * N, block) * h, d[:block])
 
-    averages = _cell_averages(quad, h, avg_radius)
-    for (d1, d2), val in averages.items():
-        g[N + d1, N + d2] = val
+    patch = slice(N - avg_radius, N + avg_radius + 1)
+    g[patch, patch] = _cell_averages(quad, h, avg_radius)
 
     estimate = None
     if error_probe:

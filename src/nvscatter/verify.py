@@ -186,6 +186,19 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), GUARD)
 
 
+def _fd_residual(res: float, res_half: float, tol: float):
+    """(residual, details) of a d-bar check from its step-h and step-h/2
+    residuals.
+
+    The half step is consistent when res_half <= res + tol/4; the residual
+    is then res, else max(res, res_half), so a finite difference that
+    disagrees with its own step halving cannot pass on the luckier step.
+    """
+    consistent = bool(res_half <= res + 0.25 * tol)
+    details = {"residual_half_step": res_half, "fd_consistent": consistent}
+    return (res if consistent else max(res, res_half)), details
+
+
 def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
                  tol: float = 0.05, table_opts: dict | None = None) -> CheckRecord:
     """d a / d conj(lambda) = pi sgn(|lambda|^2-1) |b|^2 / conj(lambda).
@@ -205,14 +218,8 @@ def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
     rhs = np.pi * np.sign(abs(lam) ** 2 - 1.0) * b * np.conj(b) / np.conj(lam)
     lhs = _fd_dbar(a_of, lam, h_step)
     lhs_half = _fd_dbar(a_of, lam, h_step / 2.0)
-    res = _rel(lhs, rhs)
-    res_half = _rel(lhs_half, rhs)
-    details = {"residual_half_step": res_half,
-               "fd_consistent": bool(res_half <= res + 0.25 * tol)}
-    rec = _record("dbar_a", anchor, max(res, res_half if not
-                                        details["fd_consistent"] else res),
-                  tol, details)
-    return rec
+    res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
+    return _record("dbar_a", anchor, res, tol, details)
 
 
 def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
@@ -241,10 +248,9 @@ def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
     rhs = rl * phase * np.conj(mu_c)
     lhs = _fd_dbar(mu_of, lam, h_step)
     lhs_half = _fd_dbar(mu_of, lam, h_step / 2.0)
-    res = max(_rel(l, r) for l, r in zip(lhs, rhs))
-    res_half = max(_rel(l, r) for l, r in zip(lhs_half, rhs))
-    details = {"residual_half_step": res_half,
-               "fd_consistent": bool(res_half <= res + 0.25 * tol)}
+    res, details = _fd_residual(max(_rel(l, r) for l, r in zip(lhs, rhs)),
+                                max(_rel(l, r) for l, r in zip(lhs_half, rhs)),
+                                tol)
     return _record("dbar_mu", anchor, res, tol, details)
 
 
@@ -275,10 +281,7 @@ def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
         lhs_half = _fd_dbar(lnd_of, lam, h_step / 2.0)
     except ArithmeticError as exc:
         return _inapplicable("dbar_lndelta", anchor, str(exc))
-    res = _rel(lhs, rhs)
-    res_half = _rel(lhs_half, rhs)
-    details = {"residual_half_step": res_half,
-               "fd_consistent": bool(res_half <= res + 0.25 * tol)}
+    res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
     return _record("dbar_lndelta", anchor, res, tol, details)
 
 

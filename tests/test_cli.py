@@ -205,6 +205,8 @@ def test_export_roundtrip(tmp_path):
     assert lines[0].startswith("re_lambda,")
     # header + samples: radius 0.5 mirrored to 2.0, 2 phases each, 2 on T
     assert len(lines) == 1 + 6
+    # one format: the export reproduces the scan's own CSV mirror exactly
+    assert lines == (out / "scattering.csv").read_text().splitlines()
 
 
 def test_export_missing_scan_exit_1(tmp_path, capsys):

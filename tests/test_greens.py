@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import k0
 
-from nvscatter.greens import (GreensTable, QuadratureError, cache_key,
+from nvscatter.greens import (LOG_CELL_AVG, GreensTable, QuadratureError,
+                              _cell_averages, _SymbolQuadrature, cache_key,
                               build_greens_table, direct_symbol_quadrature,
                               greens_G, greens_points, load_table,
                               reference_G_on_T, reference_G_on_T_hankel,
@@ -117,6 +118,52 @@ def test_table_matches_point_evaluator(table64, grid64):
         direct = greens_points(0.5, z)[0]
         assert t.samples[N + di, N + dj] == pytest.approx(direct, rel=1e-11)
         assert t.value(z) == t.samples[N + di, N + dj]
+
+
+def _cell_averages_pointwise(quad, h, radius, sub_order=6):
+    """Oracle: the origin patch cell by cell, 36 scattered points per cell."""
+    u, w = np.polynomial.legendre.leggauss(sub_order)
+    ua, ub = np.meshgrid(u, u, indexing="ij")
+    wa = np.outer(w, w).ravel() / 4.0
+    ua = ua.ravel() * h / 2.0
+    ub = ub.ravel() * h / 2.0
+    out = np.empty((2 * radius + 1, 2 * radius + 1), dtype=complex)
+    for d1 in range(-radius, radius + 1):
+        for d2 in range(-radius, radius + 1):
+            x1 = d1 * h + ua
+            x2 = d2 * h + ub
+            vals = quad.eval_points(x1, x2)
+            if d1 == 0 and d2 == 0:
+                vals = vals - np.log(np.hypot(x1, x2)) / (2.0 * np.pi)
+                avg = np.sum(wa * vals) + (np.log(h) + LOG_CELL_AVG) / (2.0 * np.pi)
+            else:
+                avg = np.sum(wa * vals)
+            out[d1 + radius, d2 + radius] = avg
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.45 * np.exp(0.7j), 10 * np.exp(0.2j),
+                                 np.exp(0.7j), 0.97 * np.exp(2j)])
+def test_cell_averages_match_pointwise_oracle(lam, grid64):
+    h = grid64.h
+    quad = _SymbolQuadrature(lam, 2.0 * grid64.R, h)
+    got = _cell_averages(quad, h, 1)
+    ref = _cell_averages_pointwise(quad, h, 1)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_block_shifted_outer_zone_matches_full_factor(N):
+    grid = make_grid(8.0, N)
+    h = grid.h
+    quad = _SymbolQuadrature(0.45 * np.exp(0.7j), 2.0 * grid.R, h)
+    d = (np.arange(2 * N) - N) * h
+    x1 = d[np.abs(d) < quad.x1_zone]
+    got = quad._outer_tensor(x1, np.arange(0, 2 * N, 16) * h, d[:16])
+    I_out = quad._residue_integrand(quad.nodes_out, x1)
+    ref = I_out.T @ (np.exp(1j * np.outer(quad.nodes_out, d))
+                     * quad.w_out[:, None])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_table_origin_entry_is_cell_average(table64, grid64):

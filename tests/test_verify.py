@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvscatter.greens import cache_key
+from nvscatter import verify
+from nvscatter.greens import GreensTable, cache_key
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
 from nvscatter.scattering import scan
 from nvscatter.verify import (CheckRecord, VerificationReport,
@@ -107,6 +108,32 @@ def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
     for step in (h, h / 2):
         for l in (lam + step, lam - step, lam + 1j * step, lam - 1j * step):
             assert cache_key(l, grid, "residue1d-gl16-avg1") + ".bin" in files
+
+
+@pytest.mark.parametrize("check", [
+    lambda v, lam: check_dbar_a(v, lam),
+    lambda v, lam: check_dbar_mu(v, [0.0, 1.0, 1.0j], lam),
+    lambda v, lam: check_dbar_lndelta(v, lam, tol=0.12),
+], ids=["dbar_a", "dbar_mu", "dbar_lndelta"])
+def test_dbar_inconsistent_half_step_reports_larger_residual(
+        check, weak64, monkeypatch):
+    # scale g at one half-step stencil point: the step-h difference is
+    # untouched, the step-h/2 one is wrong
+    lam = 0.4 + 0j
+    bad = lam + verify.FD_STEP / 2.0
+    build = verify.build_greens_table
+
+    def perturbed(grid, l, **opts):
+        t = build(grid, l, **opts)
+        if l == bad:
+            t = GreensTable(t.lam, t.grid, 1.5 * t.samples, t.record)
+        return t
+
+    monkeypatch.setattr(verify, "build_greens_table", perturbed)
+    rec = check(weak64, lam)
+    assert not rec.details["fd_consistent"]
+    assert rec.residual == rec.details["residual_half_step"]
+    assert rec.status == "fail"
 
 
 def test_shift_phase_unit_modulus():
