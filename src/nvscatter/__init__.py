@@ -14,7 +14,7 @@ from .lippmann import (DeterminantSample, KernelMatrix, MuField,
                        build_kernel, detect_exceptional,
                        modified_fredholm_det, solve_mu)
 from .scattering import (ScatteringData, born_b, compute_a, compute_b,
-                         r_coefficient, scan)
+                         r_coefficient, scan, solve_point)
 from .verify import VerificationReport, assemble_report
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "build_greens_table", "greens_points", "DeterminantSample",
     "KernelMatrix", "MuField", "build_kernel", "detect_exceptional",
     "modified_fredholm_det", "solve_mu", "ScatteringData", "born_b",
-    "compute_a", "compute_b", "r_coefficient", "scan",
+    "compute_a", "compute_b", "r_coefficient", "scan", "solve_point",
     "VerificationReport", "assemble_report", "__version__",
 ]

@@ -43,6 +43,11 @@ FOURPI2 = 4.0 * np.pi**2
 # average of ln|u| over the unit square [-1/2, 1/2]^2
 LOG_CELL_AVG = np.pi / 4.0 - 1.5 - 0.5 * np.log(2.0)
 
+# the origin patch: cells with |d|_inf <= CELL_AVG_RADIUS hold cell averages,
+# each from a CELL_AVG_ORDER x CELL_AVG_ORDER Gauss rule
+CELL_AVG_RADIUS = 1
+CELL_AVG_ORDER = 6
+
 # block length of the table's outer-zone Fourier factor, reduced to
 # gcd(2N, TENSOR_BLOCK) so that the blocks tile the 2N offsets
 TENSOR_BLOCK = 16
@@ -180,32 +185,25 @@ class _SymbolQuadrature:
         p2 = -1j * d_plus
         return S, p1, p2
 
-    @staticmethod
-    def _masked_exp(p: np.ndarray, x1: np.ndarray, mask: np.ndarray):
-        """exp(i p x1) where mask holds, exactly 0 elsewhere (no overflow)."""
-        ex = 1j * p[:, None] * x1[None, :]
-        re = np.where(mask, ex.real, -np.inf)
-        im = np.where(mask, ex.imag, 0.0)
-        return np.exp(re + 1j * im)
-
     def _residue_integrand(self, xi2: np.ndarray, x1: np.ndarray):
-        """I(xi2, x1) = closed-form xi1 integral, shape (K, len(x1))."""
+        """I(xi2, x1) = closed-form xi1 integral, shape (K, len(x1)).
+
+        A pole counts on the rows where it closes the contour (Im p has the
+        sign of x1); only there is its exp(i p x1) computed.
+        """
         S, p1, p2 = self._pole_data(xi2)
         pref = (np.pi / S)[:, None]
-        pos = x1 >= 0
         out = np.empty((xi2.size, x1.size), dtype=complex)
-        if pos.any():
-            xp = x1[pos]
-            m1 = (p1.imag > 0)[:, None] & np.ones_like(xp, dtype=bool)[None, :]
-            m2 = (p2.imag > 0)[:, None] & np.ones_like(xp, dtype=bool)[None, :]
-            out[:, pos] = pref * (self._masked_exp(p1, xp, m1)
-                                  - self._masked_exp(p2, xp, m2))
-        if (~pos).any():
-            xn = x1[~pos]
-            m1 = (p1.imag < 0)[:, None] & np.ones_like(xn, dtype=bool)[None, :]
-            m2 = (p2.imag < 0)[:, None] & np.ones_like(xn, dtype=bool)[None, :]
-            out[:, ~pos] = -pref * (self._masked_exp(p1, xn, m1)
-                                    - self._masked_exp(p2, xn, m2))
+        for cols, sign in ((x1 >= 0, 1.0), (x1 < 0, -1.0)):
+            if not cols.any():
+                continue
+            x = x1[cols]
+            terms = np.zeros((xi2.size, x.size), dtype=complex)
+            rows = sign * p1.imag > 0
+            terms[rows] = np.exp(1j * p1[rows, None] * x[None, :])
+            rows = sign * p2.imag > 0
+            terms[rows] -= np.exp(1j * p2[rows, None] * x[None, :])
+            out[:, cols] = sign * pref * terms
         return out
 
     def _zones(self, x1: np.ndarray):
@@ -334,24 +332,22 @@ class GreensTable:
         return complex(self.samples[i, j])
 
 
-def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int,
-                   sub_order: int = 6) -> np.ndarray:
+def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray:
     """Cell averages of g over cells centered at d*h, |d|_inf <= radius.
 
     Returns a (2 radius + 1)^2 array; entry [d1 + radius, d2 + radius] is
     the average over the cell at (d1 h, d2 h).  Every cell uses the same
-    sub_order x sub_order Gauss rule, so the whole patch is one tensor grid
+    CELL_AVG_ORDER^2 Gauss rule, so the whole patch is one tensor grid
     (cell centres (+) Gauss offsets on each axis) and one eval_tensor call.
     The center cell subtracts the universal log(|u|)/(2 pi) singularity and
     adds back its exact cell average.
     """
-    u, w = np.polynomial.legendre.leggauss(sub_order)
+    u, w = np.polynomial.legendre.leggauss(CELL_AVG_ORDER)
     centres = np.arange(-radius, radius + 1) * h
     offsets = u * h / 2.0
     x = (centres[:, None] + offsets[None, :]).ravel()
     n = centres.size
-    vals = quad.eval_tensor(x, centres, offsets).reshape(n, sub_order,
-                                                         n, sub_order)
+    vals = quad.eval_tensor(x, centres, offsets).reshape(n, u.size, n, u.size)
     r = np.hypot(offsets[:, None], offsets[None, :])
     vals[radius, :, radius, :] -= np.log(r) / (2.0 * np.pi)
     avg = np.einsum("aibj,ij->ab", vals, np.outer(w, w) / 4.0)
@@ -359,21 +355,20 @@ def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int,
     return avg
 
 
-def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
-                       error_probe: bool = True,
-                       error_threshold: float = 1e-5,
+def build_greens_table(grid: Grid, lam, refine: int = 1,
+                       error_probe: bool = True, error_threshold: float = 1e-5,
                        cache_dir=None) -> GreensTable:
     """Tabulate g(z - zeta, lambda) on the 2N x 2N linear-convolution grid.
 
-    avg_radius controls how many cells around the origin are replaced by
-    exact cell averages (product-integration handling of the log
-    singularity).  A probe subset is re-evaluated at doubled quadrature
-    order; the observed discrepancy is stored and, if above
-    error_threshold, raised as QuadratureError.  With cache_dir set, tables
-    are reloaded from / saved to files keyed by (lambda, R, N, rule id).
+    The cells within CELL_AVG_RADIUS of the origin hold exact cell averages
+    (product-integration handling of the log singularity).  A probe subset
+    is re-evaluated at doubled quadrature order; the observed discrepancy
+    is stored and, if above error_threshold, raised as QuadratureError.
+    With cache_dir set, tables are reloaded from / saved to files keyed by
+    (lambda, R, N, rule id).
     """
     lam_c = _as_lambda(lam)
-    rule_id = f"residue1d-gl{16 * refine}-avg{avg_radius}"
+    rule_id = f"residue1d-gl{16 * refine}-avg{CELL_AVG_RADIUS}"
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(str(cache_dir),
@@ -395,15 +390,15 @@ def build_greens_table(grid: Grid, lam, refine: int = 1, avg_radius: int = 1,
     block = math.gcd(2 * N, TENSOR_BLOCK)
     g = quad.eval_tensor(d, np.arange(0, 2 * N, block) * h, d[:block])
 
-    patch = slice(N - avg_radius, N + avg_radius + 1)
-    g[patch, patch] = _cell_averages(quad, h, avg_radius)
+    patch = slice(N - CELL_AVG_RADIUS, N + CELL_AVG_RADIUS + 1)
+    g[patch, patch] = _cell_averages(quad, h, CELL_AVG_RADIUS)
 
     estimate = None
     if error_probe:
         probe = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, 2 * refine)
         idx = np.linspace(1, 2 * N - 2, 8).astype(int)
         # skip the origin patch: those entries hold cell AVERAGES on purpose
-        idx = idx[np.abs(idx - N) > avg_radius]
+        idx = idx[np.abs(idx - N) > CELL_AVG_RADIUS]
         ref = probe.eval_points(d[idx], d[idx])
         got = g[idx, idx]
         estimate = float(np.max(np.abs(ref - got)))

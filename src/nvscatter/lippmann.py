@@ -20,7 +20,6 @@ mu-equation loses unique solvability.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from scipy.linalg import lu_factor
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .grids import Grid, LambdaGrid, Potential
-from .greens import GreensTable, build_greens_table
+from .greens import GreensTable
 
 DENSE_N_CAP = 128
 SUPPORT_RTOL = 1e-12
@@ -285,23 +284,16 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
 def determinant_scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
                      threads: int = 1,
                      table_opts: dict | None = None) -> list[DeterminantSample]:
-    """Determinant per lambda; per-point failures become flagged samples."""
-    opts = table_opts or {}
+    """The Delta column of scattering.scan(..., with_ab=False); a lambda
+    without Delta becomes a NaN sample flagged "failed: <record flags>"."""
+    from .scattering import scan  # scattering imports this module
 
-    def one(point):
-        lam = point.lam
-        try:
-            table = build_greens_table(v.grid, lam, **opts)
-            kern = build_kernel(v, table, eps=eps)
-            return modified_fredholm_det(kern)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            return DeterminantSample(lam, np.nan + 0j, np.nan, 0, "lu-logdet",
-                                     np.nan, flag=f"failed: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, lgrid.points))
-    return [one(p) for p in lgrid.points]
+    data = scan(v, lgrid, eps=eps, with_determinant=True, threads=threads,
+                table_opts=table_opts, with_ab=False)
+    return [r.delta if r.delta is not None else
+            DeterminantSample(r.lam, np.nan + 0j, np.nan, 0, "lu-logdet",
+                              np.nan, flag=f"failed: {'; '.join(r.flags)}")
+            for r in data.records]
 
 
 @dataclass
@@ -313,15 +305,13 @@ class ExceptionalScan:
 
 def detect_exceptional(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
                        exceptional_rtol: float = EXCEPTIONAL_RTOL,
-                       threads: int = 1,
-                       samples: list | None = None) -> ExceptionalScan:
+                       threads: int = 1) -> ExceptionalScan:
     """Flag lambda where |Delta| drops below exceptional_rtol * max|Delta|.
 
     Also reports the (constant) value of Delta on the unit circle when the
     grid contains |lambda| = 1 samples.
     """
-    if samples is None:
-        samples = determinant_scan(v, lgrid, eps=eps, threads=threads)
+    samples = determinant_scan(v, lgrid, eps=eps, threads=threads)
     finite = [s for s in samples if np.isfinite(s.delta)]
     if not finite:
         return ExceptionalScan([], samples, None)

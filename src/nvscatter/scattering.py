@@ -22,8 +22,8 @@ import numpy as np
 
 from .grids import LambdaGrid, Potential, fourier_hat_v
 from .greens import build_greens_table
-from .lippmann import (DeterminantSample, KernelMatrix, MuField,
-                       build_kernel, modified_fredholm_det, solve_mu)
+from .lippmann import (MU_TOL, DeterminantSample, MuField, build_kernel,
+                       modified_fredholm_det, solve_mu)
 
 FOURPI2 = 4.0 * np.pi ** 2
 
@@ -127,32 +127,32 @@ class ScatteringData:
         raise KeyError(f"no record at lambda={lam}")
 
 
-def scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-         with_determinant: bool = True, mu_tol: float = 1e-10,
-         threads: int = 1, table_opts: dict | None = None) -> ScatteringData:
-    """a, b (and optionally Delta) per lambda; failures become record flags.
+def solve_point(v: Potential, lam, *, with_ab: bool = True,
+                with_determinant: bool = True, eps: float = 1.0,
+                mu_tol: float = MU_TOL, table_opts: dict | None = None):
+    """(record, mu) at one lambda: table -> mu -> a, b; kernel -> Delta.
 
-    Output ordering follows the lambda grid regardless of worker scheduling.
+    A failed stage becomes a record flag and leaves its values NaN (a, b)
+    or None (Delta, mu).  A vanishing potential needs no table: mu = 1,
+    a = b = 0, Delta = 1.
     """
-    opts = table_opts or {}
-    vanishing = not np.any(v.samples)
-
-    def one(point):
-        lam = point.lam
-        flags = []
-        a = b = np.nan + 0j
-        det = None
-        mu_res = np.nan
-        if vanishing:
-            return ScatteringRecord(lam, 0j, 0j,
-                                    DeterminantSample(lam, 1.0 + 0j, 0.0, 0,
-                                                      "lu-logdet", 0.0)
-                                    if with_determinant else None, 0.0, [])
-        try:
-            table = build_greens_table(v.grid, lam, **opts)
-        except Exception as exc:  # noqa: BLE001
-            return ScatteringRecord(lam, a, b, None, mu_res,
-                                    [f"table-failed: {exc}"])
+    flags = []
+    a = b = np.nan + 0j
+    det = mu = None
+    mu_res = np.nan
+    if not np.any(v.samples):
+        if with_ab:
+            mu = MuField(lam, v.grid, np.ones(v.samples.shape, dtype=complex),
+                         0.0, 0)
+        if with_determinant:
+            det = DeterminantSample(lam, 1.0 + 0j, 0.0, 0, "lu-logdet", 0.0)
+        return ScatteringRecord(lam, 0j, 0j, det, 0.0, []), mu
+    try:
+        table = build_greens_table(v.grid, lam, **(table_opts or {}))
+    except Exception as exc:  # noqa: BLE001
+        return ScatteringRecord(lam, a, b, None, mu_res,
+                                [f"table-failed: {exc}"]), None
+    if with_ab:
         try:
             mu = solve_mu(v, table, tol=mu_tol)
             mu_res = mu.residual
@@ -163,15 +163,26 @@ def scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
                 flags.append(f"b-aliased: {exc}")
         except Exception as exc:  # noqa: BLE001
             flags.append(f"mu-failed: {exc}")
-        if with_determinant:
-            try:
-                kern = build_kernel(v, table, eps=eps)
-                det = modified_fredholm_det(kern)
-                if det.flag:
-                    flags.append(det.flag)
-            except Exception as exc:  # noqa: BLE001
-                flags.append(f"determinant-failed: {exc}")
-        return ScatteringRecord(lam, a, b, det, mu_res, flags)
+    if with_determinant:
+        try:
+            det = modified_fredholm_det(build_kernel(v, table, eps=eps))
+            if det.flag:
+                flags.append(det.flag)
+        except Exception as exc:  # noqa: BLE001
+            flags.append(f"determinant-failed: {exc}")
+    return ScatteringRecord(lam, a, b, det, mu_res, flags), mu
+
+
+def scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
+         with_determinant: bool = True, mu_tol: float = MU_TOL,
+         threads: int = 1, table_opts: dict | None = None,
+         with_ab: bool = True) -> ScatteringData:
+    """solve_point per lambda, in grid order whatever the worker
+    scheduling; no mu field is kept."""
+    def one(point):
+        return solve_point(v, point.lam, with_ab=with_ab,
+                           with_determinant=with_determinant, eps=eps,
+                           mu_tol=mu_tol, table_opts=table_opts)[0]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

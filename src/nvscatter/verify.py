@@ -16,10 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .grids import Potential, fourier_hat_v, translate_potential
-from .greens import build_greens_table
-from .lippmann import build_kernel, modified_fredholm_det, solve_mu
-from .scattering import (ScatteringData, born_b, compute_a, compute_b,
-                         r_coefficient)
+from .scattering import ScatteringData, born_b, r_coefficient, solve_point
 
 T_BAND = 0.05
 FD_STEP = 1e-3
@@ -162,12 +159,19 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
 # d-bar finite-difference checks
 
 
-def _solve_ab(v, lam, want_b=True, mu_tol=1e-10, table_opts=None):
-    table = build_greens_table(v.grid, lam, **(table_opts or {}))
-    mu = solve_mu(v, table, tol=mu_tol)
-    a = compute_a(v, mu)
-    b = compute_b(v, mu) if want_b else None
-    return a, b, mu
+def _point(v, lam, table_opts, *, need=("a",), eps=1.0):
+    """The values named in `need` ("a", "b", "mu" samples or "delta") at
+    one lambda; ValueError, naming lambda and the record's flags, if the
+    record lacks one."""
+    rec, mu = solve_point(v, lam, with_ab="delta" not in need,
+                          with_determinant="delta" in need, eps=eps,
+                          table_opts=table_opts)
+    got = {"a": rec.a, "b": rec.b, "mu": None if mu is None else mu.samples,
+           "delta": None if rec.delta is None else rec.delta.delta}
+    if any(got[k] is None or not np.all(np.isfinite(got[k])) for k in need):
+        raise ValueError(f"no {'/'.join(need)} at lambda={lam:.6g}: "
+                         f"{'; '.join(rec.flags)}")
+    return [got[k] for k in need]
 
 
 def _stencil_ok(lam: complex, h: float) -> bool:
@@ -212,9 +216,9 @@ def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
         return _inapplicable("dbar_a", anchor, "stencil crosses T or 0")
 
     def a_of(l):
-        return _solve_ab(v, l, want_b=False, table_opts=table_opts)[0]
+        return _point(v, l, table_opts)[0]
 
-    _, b, _ = _solve_ab(v, lam, table_opts=table_opts)
+    b, = _point(v, lam, table_opts, need=("b",))
     rhs = np.pi * np.sign(abs(lam) ** 2 - 1.0) * b * np.conj(b) / np.conj(lam)
     lhs = _fd_dbar(a_of, lam, h_step)
     lhs_half = _fd_dbar(a_of, lam, h_step / 2.0)
@@ -236,15 +240,15 @@ def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
            for z in z_samples]
 
     def mu_of(l):
-        m = _solve_ab(v, l, want_b=False, table_opts=table_opts)[2]
-        return np.array([m.samples[i, j] for i, j in idx])
+        m, = _point(v, l, table_opts, need=("mu",))
+        return np.array([m[i, j] for i, j in idx])
 
-    _, b, mu0 = _solve_ab(v, lam, table_opts=table_opts)
+    b, mu0 = _point(v, lam, table_opts, need=("b", "mu"))
     rl = r_coefficient(lam, b)
     kap = lam - 1.0 / np.conj(lam)
     zs = np.array([ax[i] + 1j * ax[j] for i, j in idx])
     phase = np.exp(0.5 * (kap * np.conj(zs) - np.conj(kap) * zs))
-    mu_c = np.array([mu0.samples[i, j] for i, j in idx])
+    mu_c = np.array([mu0[i, j] for i, j in idx])
     rhs = rl * phase * np.conj(mu_c)
     lhs = _fd_dbar(mu_of, lam, h_step)
     lhs_half = _fd_dbar(mu_of, lam, h_step / 2.0)
@@ -264,21 +268,18 @@ def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
     if not _stencil_ok(lam, h_step):
         return _inapplicable("dbar_lndelta", anchor, "stencil crosses T or 0")
 
-    def lnd_of(l):
-        table = build_greens_table(v.grid, l, **(table_opts or {}))
-        kern = build_kernel(v, table, eps=eps)
-        d = modified_fredholm_det(kern).delta
+    def ln_delta(l):
+        d, = _point(v, l, table_opts, need=("delta",), eps=eps)
         if abs(d) < 1e-8:
             raise ArithmeticError("Delta too small on stencil")
         return np.log(d)
 
-    a_mirror = _solve_ab(v, 1.0 / np.conj(lam), want_b=False,
-                         table_opts=table_opts)[0]
+    a_mirror, = _point(v, 1.0 / np.conj(lam), table_opts)
     rhs = (-np.pi * np.sign(abs(lam) ** 2 - 1.0)
            * (a_mirror - fourier_hat_v(v, 0.0)) / np.conj(lam))
     try:
-        lhs = _fd_dbar(lnd_of, lam, h_step)
-        lhs_half = _fd_dbar(lnd_of, lam, h_step / 2.0)
+        lhs = _fd_dbar(ln_delta, lam, h_step)
+        lhs_half = _fd_dbar(ln_delta, lam, h_step / 2.0)
     except ArithmeticError as exc:
         return _inapplicable("dbar_lndelta", anchor, str(exc))
     res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
@@ -307,8 +308,8 @@ def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
     res_a = res_b = 0.0
     for lam in lam_samples:
         lam = complex(lam)
-        a0, b0, _ = _solve_ab(v, lam, table_opts=table_opts)
-        a1, b1, _ = _solve_ab(v_shift, lam, table_opts=table_opts)
+        a0, b0 = _point(v, lam, table_opts, need=("a", "b"))
+        a1, b1 = _point(v_shift, lam, table_opts, need=("a", "b"))
         res_a = max(res_a, abs(a1 - a0) / (abs(a0) + GUARD))
         res_b = max(res_b, abs(b1 - shift_phase(lam, zeta) * b0)
                     / (abs(b0) + GUARD))

@@ -161,6 +161,31 @@ def test_verify_subset(tmp_path, capsys):
     assert (out / "scattering.json").exists()
 
 
+def test_verify_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a mu solve that fails at one stencil point of dbar_a is an error with
+    # the record's flag, not a traceback
+    import nvscatter.scattering as scattering
+    from nvscatter.lippmann import ExceptionalSetError
+
+    lam = 0.5 + 0j
+    bad = lam + 1e-3
+    solve = scattering.solve_mu
+
+    def failing(v, table, **kwargs):
+        if table.lam == bad:
+            raise ExceptionalSetError("forced non-convergence")
+        return solve(v, table, **kwargs)
+
+    monkeypatch.setattr(scattering, "solve_mu", failing)
+    cfg = write_cfg(tmp_path, checks={"include": ["dbar_a"],
+                                      "dbar_lambda": [0.5, 0.0],
+                                      "dbar_step": 1e-3})
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "mu-failed" in err
+
+
 def test_verify_soliton_only(tmp_path):
     cfg = write_cfg(tmp_path, checks={"include": ["soliton_obstruction"]},
                     soliton={"c_values": [[0, 0], [1, 2]], "n_samples": 16})

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from nvscatter.grids import (gaussian_hat, make_grid, make_lambda_grid,
                              sample_potential)
-from nvscatter.lippmann import MuField, solve_mu
+from nvscatter import scattering
+from nvscatter.lippmann import MuField, determinant_scan, solve_mu
 from nvscatter.scattering import (_b_phase, _kappa, born_b, compute_a,
                                   compute_b, load_scattering, r_coefficient,
                                   save_scattering, save_scattering_csv, scan)
@@ -125,6 +126,46 @@ def test_scan_vacuum_short_circuit(grid64):
         assert rec.delta.delta == 1.0
         assert rec.flags == []
     assert data.vhat0 == 0
+
+
+def test_vacuum_determinant_scan_builds_no_table(grid64, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a vanishing potential")
+
+    monkeypatch.setattr(scattering, "build_greens_table", no_table)
+    v0 = sample_potential(grid64, "gaussian", {"A": 0.0, "sigma": 1.0})
+    lgrid = make_lambda_grid(annulus_radii=[0.3], phases=2, t_samples=2)
+    samples = determinant_scan(v0, lgrid)
+    assert [s.lam for s in samples] == [p.lam for p in lgrid.points]
+    for s in samples:
+        assert s.delta == 1.0
+        assert s.flag == ""
+
+
+def _fields(rec):
+    d = rec.delta
+    return (rec.lam, rec.a, rec.b, rec.mu_residual, rec.flags,
+            None if d is None else (d.delta, d.n_eigs, d.hs_norm, d.flag))
+
+
+def test_threaded_scan_matches_serial():
+    # Delta on: every stage runs in the worker threads
+    grid = make_grid(8.0, 32)
+    v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
+    lgrid = make_lambda_grid(annulus_radii=[0.3, 0.6], phases=2,
+                             t_samples=2)
+    serial = scan(v, lgrid, threads=1)
+    threaded = scan(v, lgrid, threads=2)
+    assert [_fields(r) for r in threaded.records] == \
+        [_fields(r) for r in serial.records]
+    assert [r.lam for r in threaded.records] == [p.lam for p in lgrid.points]
+    assert all(r.delta is not None for r in serial.records)
+    det1 = determinant_scan(v, lgrid, threads=1)
+    det2 = determinant_scan(v, lgrid, threads=2)
+    assert [(s.lam, s.delta, s.flag) for s in det2] == \
+        [(s.lam, s.delta, s.flag) for s in det1]
+    # the Delta column of the scan, bit for bit
+    assert [s.delta for s in det1] == [r.delta.delta for r in serial.records]
 
 
 def test_scan_records_follow_grid_order(gauss64):

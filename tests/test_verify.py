@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvscatter import verify
+from nvscatter import scattering, verify
 from nvscatter.greens import GreensTable, cache_key
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
 from nvscatter.scattering import scan
@@ -121,7 +121,7 @@ def test_dbar_inconsistent_half_step_reports_larger_residual(
     # untouched, the step-h/2 one is wrong
     lam = 0.4 + 0j
     bad = lam + verify.FD_STEP / 2.0
-    build = verify.build_greens_table
+    build = scattering.build_greens_table
 
     def perturbed(grid, l, **opts):
         t = build(grid, l, **opts)
@@ -129,7 +129,7 @@ def test_dbar_inconsistent_half_step_reports_larger_residual(
             t = GreensTable(t.lam, t.grid, 1.5 * t.samples, t.record)
         return t
 
-    monkeypatch.setattr(verify, "build_greens_table", perturbed)
+    monkeypatch.setattr(scattering, "build_greens_table", perturbed)
     rec = check(weak64, lam)
     assert not rec.details["fd_consistent"]
     assert rec.residual == rec.details["residual_half_step"]
