@@ -174,20 +174,23 @@ def _solver_opts(cfg: dict, cache_dir):
     }
 
 
-def _write_scan(data: ScatteringData, out_dir: str) -> None:
+def _write_scan(data: ScatteringData, out_dir: str,
+                with_determinant: bool) -> None:
+    """scattering.json and .csv; with Delta on, determinant.csv with one
+    row per lambda (a failed lambda is its NaN "failed: ..." sample)."""
     os.makedirs(out_dir, exist_ok=True)
     save_scattering(data, os.path.join(out_dir, "scattering.json"))
     save_scattering_csv(data, os.path.join(out_dir, "scattering.csv"))
-    dets = [r.delta for r in data.records if r.delta is not None]
-    if dets:
-        save_determinant_csv(dets, os.path.join(out_dir, "determinant.csv"))
+    if with_determinant:
+        save_determinant_csv([r.delta_sample() for r in data.records],
+                             os.path.join(out_dir, "determinant.csv"))
 
 
 def cmd_scan(cfg: dict, out_dir: str, threads: int, cache_dir) -> int:
     v, lgrid = build_inputs(cfg)
     opts = _solver_opts(cfg, cache_dir)
     data = scan(v, lgrid, threads=threads, **opts)
-    _write_scan(data, out_dir)
+    _write_scan(data, out_dir, opts["with_determinant"])
     n_flagged = sum(bool(r.flags) for r in data.records)
     print(f"scan: {len(data.records)} lambda samples, {n_flagged} flagged; "
           f"output in {out_dir}")
@@ -270,7 +273,8 @@ def cmd_verify(cfg: dict, out_dir: str, threads: int, cache_dir,
     os.makedirs(out_dir, exist_ok=True)
     V.save_report(report, os.path.join(out_dir, "report.json"))
     if data is not None:
-        _write_scan(data, out_dir)
+        _write_scan(data, out_dir,
+                    _solver_opts(cfg, cache_dir)["with_determinant"])
     print(report.summary())
     return 0 if report.overall == "pass" else 2
 

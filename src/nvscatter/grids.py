@@ -17,6 +17,9 @@ DEFAULT_EPS = 1.0
 
 FAMILIES = ("gaussian", "exp-bump", "ring", "custom")
 
+# a spectral point is on the unit circle T when ||lambda| - 1| < T_TOL
+T_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -208,7 +211,6 @@ class SpectralPoint:
     """Nonzero spectral parameter with unit-circle proximity flags."""
 
     lam: complex
-    tol_T: float = 1e-9
 
     def __post_init__(self):
         if self.lam == 0 or not np.isfinite(self.lam):
@@ -216,7 +218,7 @@ class SpectralPoint:
 
     @property
     def on_T(self) -> bool:
-        return abs(abs(self.lam) - 1.0) < self.tol_T
+        return abs(abs(self.lam) - 1.0) < T_TOL
 
     @property
     def region(self) -> str:

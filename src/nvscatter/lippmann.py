@@ -4,17 +4,19 @@ mu(z, lambda) solves mu = 1 + Conv_g(v * mu) where Conv_g is convolution
 against the tabulated lambda-dependent fundamental solution.  The weighted
 kernel
 
-    A(z, zeta) = (1+|z|)^(-(2+eps)/2) g(z-zeta) v(zeta) (1+|zeta|)^((2+eps)/2) h^2
+    A_w(z, zeta) = (1+|z|)^(-(2+eps)/2) g(z-zeta) v(zeta) (1+|zeta|)^((2+eps)/2) h^2
 
-is Hilbert-Schmidt for decaying v, and the regularized determinant
+is Hilbert-Schmidt for decaying v.  It is a similarity transform of the
+unweighted block A(z, zeta) = g(z-zeta) v(zeta) h^2, so both have the same
+eigenvalues, trace and regularized determinant
 
     Delta = prod_i (1 - mu_i) exp(mu_i)            (mu_i = eigenvalues of A)
-          = det(I - A) * exp(Tr A)
+          = det(I - A) * exp(Tr A),
 
-is computed by the second form, from an LU factorisation of I - A.
-
-detects the exceptional set E = {lambda : Delta(lambda) = 0} where the
-mu-equation loses unique solvability.
+which is computed by the second form, from an LU factorisation of the
+unweighted I - A.  The weight enters only the Hilbert-Schmidt norm.
+detect_exceptional flags the exceptional set E = {lambda : Delta(lambda) = 0}
+where the mu-equation loses unique solvability.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .greens import GreensTable
 DENSE_N_CAP = 128
 SUPPORT_RTOL = 1e-12
 MU_TOL = 1e-10
+MU_MAXITER = 400
+NEAR_ONE_TOL = 1e-12
 EXCEPTIONAL_RTOL = 1e-6
 
 
@@ -87,8 +91,7 @@ class MuField:
     iterations: int
 
 
-def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL,
-             maxiter: int = 400) -> MuField:
+def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
     """Solve the integral equation by Krylov iteration on the FFT operator.
 
     Residual is the relative 2-norm of mu - 1 - Conv_g(v mu).  Stagnation is
@@ -116,7 +119,7 @@ def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL,
         it_count[0] += 1
 
     x, info = lgmres(op, rhs, x0=x0, rtol=0.05 * tol, atol=0.0,
-                     maxiter=maxiter, callback=_cb)
+                     maxiter=MU_MAXITER, callback=_cb)
     res = np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs)
     if info != 0 or not np.isfinite(res) or res > tol:
         raise ExceptionalSetError(
@@ -127,69 +130,67 @@ def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL,
 
 
 # ---------------------------------------------------------------------------
-# weighted kernel
+# kernel
 
 
 @dataclass
 class KernelMatrix:
-    """Dense discretization of the weighted kernel, support-restricted.
+    """Dense unweighted kernel A[p, q] = g(z_p - z_q) v(z_q) h^2 on the
+    support of v.
 
-    Columns where v vanishes (below support_rtol * max|v|) are identically
+    Columns where v vanishes (below SUPPORT_RTOL * max|v|) are identically
     zero and contribute only zero eigenvalues, so the dense block keeps just
-    the support nodes; `mask` records which grid nodes those are.  hs_norm is
-    the Hilbert-Schmidt (Frobenius) norm over ALL grid rows, the quantity
-    that stays finite as the domain grows.
+    the support nodes; `mask` records which grid nodes those are.  The block
+    is unweighted: the weight (1+|z|)^((2+eps)/2) is a similarity transform
+    that leaves Delta and Tr A unchanged, and it enters only hs_norm, the
+    Hilbert-Schmidt (Frobenius) norm of the weighted kernel over ALL grid
+    rows, the quantity that stays finite as the domain grows.
     """
 
     lam: complex
     grid: Grid
-    eps: float
     mask: np.ndarray
     dense: np.ndarray
     trace: complex
     hs_norm: float
-    block_fro: float
 
     @property
     def size(self) -> int:
         return self.dense.shape[0]
 
 
-def build_kernel(v: Potential, table: GreensTable, eps: float = 1.0,
-                 support_rtol: float = SUPPORT_RTOL,
-                 dense_cap: int = DENSE_N_CAP) -> KernelMatrix:
-    """Assemble the dense weighted kernel block on the support of v."""
+def build_kernel(v: Potential, table: GreensTable,
+                 eps: float = 1.0) -> KernelMatrix:
+    """Assemble the dense unweighted kernel block on the support of v; eps
+    is the weight exponent of hs_norm."""
     _check_same_grid(v, table)
     if eps <= 0:
         raise ValueError("eps must be positive")
     N = v.grid.N
-    if N > dense_cap:
-        raise ValueError(f"dense determinant mode capped at N={dense_cap}; "
+    if N > DENSE_N_CAP:
+        raise ValueError(f"dense determinant mode capped at N={DENSE_N_CAP}; "
                          f"got N={N}")
     h = v.grid.h
     vmax = np.max(np.abs(v.samples))
-    mask = np.abs(v.samples) > support_rtol * vmax if vmax > 0 else \
+    mask = np.abs(v.samples) > SUPPORT_RTOL * vmax if vmax > 0 else \
         np.zeros((N, N), dtype=bool)
     ii, jj = (x.astype(np.int32) for x in np.nonzero(mask))
-    ns = ii.size
-    if ns == 0:
-        return KernelMatrix(table.lam, v.grid, eps, mask,
-                            np.zeros((0, 0), dtype=complex), 0j, 0.0, 0.0)
-    z = v.grid.nodes()[mask]
-    w = (1.0 + np.abs(z)) ** ((2.0 + eps) / 2.0)
-    col = v.samples[mask] * h * h * w
+    if ii.size == 0:
+        return KernelMatrix(table.lam, v.grid, mask,
+                            np.zeros((0, 0), dtype=complex), 0j, 0.0)
+    col = v.samples[mask] * h * h
     # one flat int32 gather of g(z_p - z_q) into the table's (2N)^2 entries
     flat = (ii[:, None] - ii[None, :] + N) * (2 * N)
     flat += jj[:, None] - jj[None, :] + N
     dense = table.samples.ravel()[flat]
     del flat
     dense *= col[None, :]
-    dense /= w[:, None]
     trace = table.samples[N, N] * complex(np.sum(v.samples[mask])) * h * h
-    block_fro = float(np.sqrt(np.vdot(dense, dense).real))
-    hs2 = float(np.sum(np.abs(col) ** 2 * _row_weight_sums(table, eps)[mask]))
-    return KernelMatrix(table.lam, v.grid, eps, mask, dense, trace,
-                        float(np.sqrt(hs2)), block_fro)
+    w = (1.0 + np.abs(v.grid.nodes()[mask])) ** ((2.0 + eps) / 2.0)
+    hs2 = float(np.sum(np.abs(col * w) ** 2
+                       * _row_weight_sums(table, eps)[mask]))
+    return KernelMatrix(table.lam, v.grid, mask, dense, trace,
+                        float(np.sqrt(hs2)))
 
 
 def _row_weight_sums(table: GreensTable, eps: float) -> np.ndarray:
@@ -209,20 +210,6 @@ def _row_weight_sums(table: GreensTable, eps: float) -> np.ndarray:
     return corr[N:0:-1, N:0:-1]
 
 
-def solve_weighted(kernel: KernelMatrix) -> np.ndarray:
-    """Direct dense solve of (I - A) m = weighted 1 on the support nodes.
-
-    Returns mu = w*m there; cross-validates solve_mu.
-    """
-    ns = kernel.size
-    if ns == 0:
-        return np.ones(0, dtype=complex)
-    z = kernel.grid.nodes()[kernel.mask]
-    w = (1.0 + np.abs(z)) ** ((2.0 + kernel.eps) / 2.0)
-    m = np.linalg.solve(np.eye(ns) - kernel.dense, 1.0 / w)
-    return w * m
-
-
 # ---------------------------------------------------------------------------
 # modified Fredholm determinant
 
@@ -231,7 +218,6 @@ def solve_weighted(kernel: KernelMatrix) -> np.ndarray:
 class DeterminantSample:
     lam: complex
     delta: complex
-    im_residual: float
     n_eigs: int
     method: str
     hs_norm: float
@@ -239,14 +225,14 @@ class DeterminantSample:
     diagnostics: dict = field(default_factory=dict)
 
 
-def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
-                          near_one_tol: float = 1e-12) -> DeterminantSample:
+def modified_fredholm_det(kernel: KernelMatrix,
+                          method: str = "lu") -> DeterminantSample:
     """Delta = det(I - A) e^{Tr A} from an LU factorisation of I - A.
 
     The kernel is left unchanged: I - A is formed once as a Fortran-ordered
     copy of (I - A)^T, which has the same determinant and is factored in
     place.  Pivot swaps fix the sign.  A pivot that is exactly zero, or a
-    smallest-to-largest |U_ii| ratio below near_one_tol, marks lambda as
+    smallest-to-largest |U_ii| ratio below NEAR_ONE_TOL, marks lambda as
     (near) exceptional; the ratio is kept as diagnostics["min_pivot_ratio"].
     "lu" is the only method.
     """
@@ -254,8 +240,7 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
         raise ValueError(f"unknown method {method!r}")
     ns = kernel.size
     if ns == 0:
-        return DeterminantSample(kernel.lam, 1.0 + 0j, 0.0, 0, "lu-logdet",
-                                 0.0)
+        return DeterminantSample(kernel.lam, 1.0 + 0j, 0, "lu-logdet", 0.0)
     mat = np.negative(kernel.dense.T, order="F")
     mat[np.diag_indices(ns)] += 1.0
     lu, piv = lu_factor(mat, overwrite_a=True, check_finite=False)
@@ -263,7 +248,7 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
     pivots = np.abs(u)
     ratio = float(pivots.min() / pivots.max()) if pivots.max() > 0 else 0.0
     flag = ""
-    if ratio < near_one_tol:
+    if ratio < NEAR_ONE_TOL:
         flag = "lambda in (or near) exceptional set E"
     if ratio == 0.0:
         delta = 0j
@@ -272,8 +257,8 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
         if np.count_nonzero(piv != np.arange(ns)) % 2:
             logdet += 1j * np.pi
         delta = complex(np.exp(logdet + kernel.trace))
-    return DeterminantSample(kernel.lam, delta, abs(delta.imag), ns,
-                             "lu-logdet", kernel.hs_norm, flag,
+    return DeterminantSample(kernel.lam, delta, ns, "lu-logdet",
+                             kernel.hs_norm, flag,
                              {"min_pivot_ratio": ratio})
 
 
@@ -284,16 +269,13 @@ def modified_fredholm_det(kernel: KernelMatrix, method: str = "lu",
 def determinant_scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
                      threads: int = 1,
                      table_opts: dict | None = None) -> list[DeterminantSample]:
-    """The Delta column of scattering.scan(..., with_ab=False); a lambda
-    without Delta becomes a NaN sample flagged "failed: <record flags>"."""
+    """The Delta column of scattering.scan(..., with_ab=False), one
+    delta_sample per lambda."""
     from .scattering import scan  # scattering imports this module
 
     data = scan(v, lgrid, eps=eps, with_determinant=True, threads=threads,
                 table_opts=table_opts, with_ab=False)
-    return [r.delta if r.delta is not None else
-            DeterminantSample(r.lam, np.nan + 0j, np.nan, 0, "lu-logdet",
-                              np.nan, flag=f"failed: {'; '.join(r.flags)}")
-            for r in data.records]
+    return [r.delta_sample() for r in data.records]
 
 
 @dataclass
@@ -304,9 +286,8 @@ class ExceptionalScan:
 
 
 def detect_exceptional(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-                       exceptional_rtol: float = EXCEPTIONAL_RTOL,
                        threads: int = 1) -> ExceptionalScan:
-    """Flag lambda where |Delta| drops below exceptional_rtol * max|Delta|.
+    """Flag lambda where |Delta| drops below EXCEPTIONAL_RTOL * max|Delta|.
 
     Also reports the (constant) value of Delta on the unit circle when the
     grid contains |lambda| = 1 samples.
@@ -316,7 +297,7 @@ def detect_exceptional(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
     if not finite:
         return ExceptionalScan([], samples, None)
     dmax = max(abs(s.delta) for s in finite)
-    flagged = [s.lam for s in finite if abs(s.delta) < exceptional_rtol * dmax]
+    flagged = [s.lam for s in finite if abs(s.delta) < EXCEPTIONAL_RTOL * dmax]
     on_t = [s.delta for s, p in zip(samples, lgrid.points)
             if p.on_T and np.isfinite(s.delta)]
     t_value = complex(np.mean(on_t)) if on_t else None

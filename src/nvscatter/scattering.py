@@ -26,6 +26,7 @@ from .lippmann import (MU_TOL, DeterminantSample, MuField, build_kernel,
                        modified_fredholm_det, solve_mu)
 
 FOURPI2 = 4.0 * np.pi ** 2
+MAX_FREQ_CELLS = 4.0
 
 
 def _kappa(lam: complex) -> complex:
@@ -40,21 +41,21 @@ def compute_a(v: Potential, mu: MuField) -> complex:
     return complex(np.sum(mu.samples * v.samples) * h * h / FOURPI2)
 
 
-def compute_b(v: Potential, mu: MuField, max_freq_cells: float = 4.0) -> complex:
+def compute_b(v: Potential, mu: MuField) -> complex:
     """b(lambda) with the analytic modulus-one oscillatory factor.
 
     Rejects lambda whose oscillation wavelength 2pi/|kappa| drops below
-    max_freq_cells grid cells (aliasing guard).
+    MAX_FREQ_CELLS grid cells (aliasing guard).
     """
     if v.grid != mu.grid:
         raise ValueError("potential and mu grids differ")
     lam = complex(mu.lam)
     kap = _kappa(lam)
     h = v.grid.h
-    if abs(kap) > 2.0 * np.pi / (max_freq_cells * h):
+    if abs(kap) > 2.0 * np.pi / (MAX_FREQ_CELLS * h):
         raise ValueError(
             f"aliasing guard: |kappa|={abs(kap):.3g} oscillates faster than "
-            f"one period per {max_freq_cells} cells at h={h:.3g}")
+            f"one period per {MAX_FREQ_CELLS} cells at h={h:.3g}")
     phase = _b_phase(lam, v.grid.nodes())
     return complex(np.sum(phase * mu.samples * v.samples) * h * h / FOURPI2)
 
@@ -104,6 +105,14 @@ class ScatteringRecord:
     mu_residual: float
     flags: list = field(default_factory=list)
 
+    def delta_sample(self) -> DeterminantSample:
+        """The Delta sample, or a NaN one flagged "failed: <record flags>"
+        when this lambda has none."""
+        if self.delta is not None:
+            return self.delta
+        return DeterminantSample(self.lam, np.nan + 0j, 0, "lu-logdet", np.nan,
+                                 flag=f"failed: {'; '.join(self.flags)}")
+
 
 @dataclass
 class ScatteringData:
@@ -145,7 +154,7 @@ def solve_point(v: Potential, lam, *, with_ab: bool = True,
             mu = MuField(lam, v.grid, np.ones(v.samples.shape, dtype=complex),
                          0.0, 0)
         if with_determinant:
-            det = DeterminantSample(lam, 1.0 + 0j, 0.0, 0, "lu-logdet", 0.0)
+            det = DeterminantSample(lam, 1.0 + 0j, 0, "lu-logdet", 0.0)
         return ScatteringRecord(lam, 0j, 0j, det, 0.0, []), mu
     try:
         table = build_greens_table(v.grid, lam, **(table_opts or {}))

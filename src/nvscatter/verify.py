@@ -16,11 +16,27 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .grids import Potential, fourier_hat_v, translate_potential
-from .scattering import ScatteringData, born_b, r_coefficient, solve_point
+from .scattering import (ScatteringData, _b_phase, _kappa, born_b,
+                         r_coefficient, solve_point)
 
 T_BAND = 0.05
 FD_STEP = 1e-3
 GUARD = 1e-14
+
+AB_ON_T_TOL = 1e-3
+# check_delta_properties: Im Delta, spread of |Delta| on T, Delta - 1 at the
+# smallest/largest |lambda|, inversion symmetry, and the refinement error
+# whose 10x bounds the largest radial jump
+DELTA_REALNESS_TOL = 1e-6
+DELTA_T_SPREAD_TOL = 1e-3
+DELTA_LIMIT_TOL = 0.01
+DELTA_INVERSION_TOL = 1e-4
+DELTA_CONTINUITY_REF = 1e-3
+# soliton_obstruction passes when at least this fraction of the samples
+# has a nonvanishing phase mismatch
+SOLITON_MIN_FRACTION = 0.95
+# transparency_chain_demo: max|b| must reach this fraction of max|Born b|
+TRANSPARENCY_FACTOR = 0.5
 
 
 @dataclass
@@ -54,7 +70,7 @@ def _inapplicable(cid, anchor, reason) -> CheckRecord:
 # scan-level checks
 
 
-def check_ab_on_T(data: ScatteringData, tol: float = 1e-3) -> CheckRecord:
+def check_ab_on_T(data: ScatteringData) -> CheckRecord:
     """a(lambda) = b(lambda) on the unit circle when Delta does not vanish."""
     anchor = "a-equals-b-on-unit-circle"
     recs = data.t_records()
@@ -64,14 +80,11 @@ def check_ab_on_T(data: ScatteringData, tol: float = 1e-3) -> CheckRecord:
         return _inapplicable("ab_on_T", anchor,
                              "inapplicable -- Delta vanishes on T")
     res = max(abs(r.a - r.b) / (abs(r.a) + abs(r.b) + GUARD) for r in recs)
-    return _record("ab_on_T", anchor, res, tol, {"n_samples": len(recs)})
+    return _record("ab_on_T", anchor, res, AB_ON_T_TOL,
+                   {"n_samples": len(recs)})
 
 
-def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
-                           t_spread_tol: float = 1e-3,
-                           limit_tol: float = 0.01,
-                           inversion_tol: float = 1e-4,
-                           continuity_ref: float = 1e-3) -> list:
+def check_delta_properties(data: ScatteringData) -> list:
     """Five determinant properties: continuity proxy, limits at 0/infinity,
     constancy on T, realness, inversion symmetry."""
     recs = [r for r in data.records if r.delta is not None
@@ -96,7 +109,7 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
         for (_, d1), (_, d2) in zip(ray[:-1], ray[1:]):
             jump = max(jump, abs(d2 - d1))
     out.append(_record("delta_continuity", "determinant-continuity-proxy",
-                       jump, 10.0 * continuity_ref,
+                       jump, 10.0 * DELTA_CONTINUITY_REF,
                        {"note": "largest radial jump; reference is the "
                                 "configured refinement error"}))
 
@@ -105,7 +118,7 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
     lim_res = max(abs(recs[int(np.argmin(radii))].delta.delta - 1.0),
                   abs(recs[int(np.argmax(radii))].delta.delta - 1.0))
     out.append(_record("delta_limits", "determinant-tends-to-one",
-                       lim_res, limit_tol,
+                       lim_res, DELTA_LIMIT_TOL,
                        {"rmin": float(radii.min()),
                         "rmax": float(radii.max())}))
 
@@ -116,7 +129,7 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
         t_vals = np.array(t_vals)
         spread = float(np.ptp(np.abs(t_vals)) / (abs(t_vals.mean()) + GUARD))
         out.append(_record("delta_t_const", "determinant-constant-on-T",
-                           spread, t_spread_tol,
+                           spread, DELTA_T_SPREAD_TOL,
                            {"t_value": [float(t_vals.mean().real),
                                         float(t_vals.mean().imag)]}))
     else:
@@ -128,7 +141,7 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
     real_res = max(abs(r.delta.delta.imag) / (1.0 + abs(r.delta.delta))
                    for r in recs)
     out.append(_record("delta_real", "determinant-real-valued",
-                       real_res, realness_tol))
+                       real_res, DELTA_REALNESS_TOL))
 
     # inversion symmetry Delta(lambda) = Delta(1/conj(lambda))
     pairs = 0
@@ -147,7 +160,7 @@ def check_delta_properties(data: ScatteringData, realness_tol: float = 1e-6,
     if pairs:
         out.append(_record("delta_inversion",
                            "determinant-inversion-symmetry",
-                           inv_res, inversion_tol, {"pairs": pairs}))
+                           inv_res, DELTA_INVERSION_TOL, {"pairs": pairs}))
     else:
         out.append(_inapplicable("delta_inversion",
                                  "determinant-inversion-symmetry",
@@ -245,9 +258,8 @@ def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
 
     b, mu0 = _point(v, lam, table_opts, need=("b", "mu"))
     rl = r_coefficient(lam, b)
-    kap = lam - 1.0 / np.conj(lam)
     zs = np.array([ax[i] + 1j * ax[j] for i, j in idx])
-    phase = np.exp(0.5 * (kap * np.conj(zs) - np.conj(kap) * zs))
+    phase = np.conj(_b_phase(lam, zs))
     mu_c = np.array([mu0[i, j] for i, j in idx])
     rhs = rl * phase * np.conj(mu_c)
     lhs = _fd_dbar(mu_of, lam, h_step)
@@ -291,9 +303,9 @@ def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
 
 
 def shift_phase(lam: complex, zeta: complex) -> complex:
-    """Phase relating b of a translated potential to b of the original."""
-    kap = lam - 1.0 / np.conj(lam)
-    return np.exp(-0.5 * (kap * np.conj(zeta) - np.conj(kap) * zeta))
+    """Phase relating b of a translated potential to b of the original:
+    the b-factor exp(-i Im(kappa conj(zeta))) at zeta."""
+    return complex(_b_phase(complex(lam), complex(zeta)))
 
 
 def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
@@ -326,14 +338,14 @@ def soliton_mismatch(lam: complex, c: complex) -> complex:
     there.
     """
     lam = complex(lam)
-    kap = lam - 1.0 / np.conj(lam)
+    kap = _kappa(lam)
     translation = -0.5 * (kap * np.conj(c) - np.conj(kap) * c)
     cubic = (lam ** 3 + lam ** -3) - np.conj(lam ** 3 + lam ** -3)
     return translation - cubic
 
 
-def soliton_obstruction(c, lam_samples, mismatch_floor: float = 1e-8,
-                        min_fraction: float = 0.95) -> CheckRecord:
+def soliton_obstruction(c, lam_samples,
+                        mismatch_floor: float = 1e-8) -> CheckRecord:
     """Fraction of generic lambda with nonvanishing phase mismatch."""
     anchor = "soliton-phase-obstruction"
     c = complex(c)
@@ -347,14 +359,14 @@ def soliton_obstruction(c, lam_samples, mismatch_floor: float = 1e-8,
                "n_samples": len(lams)}
     if n_generic < len(lams) // 2:
         details["warning"] = "insufficient generic samples (most lambda real)"
-    res = max(0.0, min_fraction - frac)
+    res = max(0.0, SOLITON_MIN_FRACTION - frac)
     return _record(f"soliton_obstruction_c={c:g}", anchor, res, 0.0, details)
 
 
-def transparency_chain_demo(v_weak: Potential, data: ScatteringData,
-                            factor: float = 0.5) -> CheckRecord:
+def transparency_chain_demo(v_weak: Potential,
+                            data: ScatteringData) -> CheckRecord:
     """A visibly nonzero weak potential must scatter: max|b| is at least
-    `factor` times the Born prediction somewhere on the grid."""
+    TRANSPARENCY_FACTOR times the Born prediction somewhere on the grid."""
     anchor = "no-transparent-potentials"
     if not np.any(v_weak.samples):
         return _inapplicable("transparency_chain", anchor,
@@ -365,7 +377,7 @@ def transparency_chain_demo(v_weak: Potential, data: ScatteringData,
     bmax = max((abs(r.b) for r in data.records if np.isfinite(r.b)),
                default=0.0)
     born_max = max(abs(born_b(v_weak, p.lam)) for p in data.lgrid.points)
-    res = max(0.0, factor * born_max - bmax) / (born_max + GUARD)
+    res = max(0.0, TRANSPARENCY_FACTOR * born_max - bmax) / (born_max + GUARD)
     return _record("transparency_chain", anchor, res, 0.0,
                    {"max_b": bmax, "max_born_b": born_max})
 

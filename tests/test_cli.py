@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -81,6 +82,46 @@ def test_scan_command(tmp_path, capsys):
     assert (out / "scattering.csv").exists()
     assert (out / "determinant.csv").exists()
     assert "0 flagged" in capsys.readouterr().out
+
+
+def test_determinant_csv_has_one_row_per_lambda(tmp_path, monkeypatch):
+    # a lambda whose table fails keeps its determinant.csv row, flagged
+    import nvscatter.scattering as scattering
+
+    bad = 0.5 * np.exp(0.5j * np.pi)
+    build = scattering.build_greens_table
+
+    def failing(grid, lam, **kwargs):
+        if abs(lam - bad) < 1e-12:
+            raise RuntimeError("forced table failure")
+        return build(grid, lam, **kwargs)
+
+    monkeypatch.setattr(scattering, "build_greens_table", failing)
+    cfg = write_cfg(tmp_path, grid={"R": 8.0, "N": 32})
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    with open(out / "determinant.csv") as f:
+        rows = list(csv.DictReader(f))
+    # radius 0.5 mirrored to 2.0, 2 phases each, 2 on T
+    assert len(rows) == 6
+    failed = [r for r in rows if r["flag"]]
+    assert len(failed) == 1
+    assert failed[0]["flag"].startswith("failed: table-failed:")
+    assert complex(float(failed[0]["re_lambda"]),
+                   float(failed[0]["im_lambda"])) == pytest.approx(bad)
+    assert failed[0]["re_delta"] == "nan"
+
+    # with every Delta failed the file is still written, one row per lambda
+    def always(grid, lam, **kwargs):
+        raise RuntimeError("forced table failure")
+
+    monkeypatch.setattr(scattering, "build_greens_table", always)
+    out = tmp_path / "all"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    with open(out / "determinant.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 6
+    assert all(r["flag"].startswith("failed:") for r in rows)
 
 
 def test_scan_flags_exit_code(tmp_path):

@@ -6,11 +6,11 @@ from scipy.special import k0
 
 from nvscatter.greens import (LOG_CELL_AVG, GreensTable, QuadratureError,
                               _cell_averages, _SymbolQuadrature, cache_key,
-                              build_greens_table, direct_symbol_quadrature,
-                              greens_G, greens_points, load_table,
-                              reference_G_on_T, reference_G_on_T_hankel,
-                              save_table, singular_points, symbol_denominator)
+                              build_greens_table, greens_G, greens_points,
+                              load_table, reference_G_on_T, save_table,
+                              singular_points, symbol_denominator)
 from nvscatter.grids import make_grid
+from oracles import direct_symbol_quadrature, reference_G_on_T_hankel
 
 LAM_SAMPLES = [0.5, 0.5 * np.exp(0.8j), 2.0, 1.7 * np.exp(-2.1j),
                np.exp(0.45j), 1j]
@@ -193,10 +193,10 @@ def test_error_probe_recorded(table64):
 
 def test_near_T_flag():
     grid = make_grid(8.0, 16)
-    t = build_greens_table(grid, complex(1.0 + 2e-4, 0.0), error_probe=False)
+    t = build_greens_table(grid, complex(1.0 + 2e-4, 0.0))
     assert t.record["near_T"]
     assert "flag" in t.record
-    t2 = build_greens_table(grid, 0.5, error_probe=False)
+    t2 = build_greens_table(grid, 0.5)
     assert not t2.record["near_T"]
 
 
@@ -229,18 +229,18 @@ def test_build_cache_roundtrip(tmp_path):
 
 def test_cache_rejects_forged_header(tmp_path):
     grid = make_grid(8.0, 16)
-    t = build_greens_table(grid, 0.5, error_probe=False)
+    t = build_greens_table(grid, 0.5)
     key = cache_key(0.5, grid, t.record["rule_id"])
     forged = GreensTable(0.5 + 1e-13j, grid, t.samples, t.record)
     save_table(forged, tmp_path / (key + ".bin"))
     with pytest.raises(ValueError, match=key):
-        build_greens_table(grid, 0.5, error_probe=False, cache_dir=tmp_path)
+        build_greens_table(grid, 0.5, cache_dir=tmp_path)
 
 
 def test_cache_writes_leave_no_temporary(tmp_path):
     grid = make_grid(8.0, 16)
     for lam in (0.5, 0.5 + 1e-13):
-        build_greens_table(grid, lam, error_probe=False, cache_dir=tmp_path)
+        build_greens_table(grid, lam, cache_dir=tmp_path)
     files = sorted(os.listdir(tmp_path))
     # %.12g would give both lambda the same key
     assert len(files) == 2

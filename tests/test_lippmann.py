@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
+from nvscatter import greens, lippmann
 from nvscatter.greens import GreensTable, build_greens_table
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
 from nvscatter.lippmann import (DeterminantSample, KernelMatrix, apply_conv,
                                 build_kernel, conv_kernel_hat,
                                 detect_exceptional, determinant_scan,
                                 modified_fredholm_det, save_determinant_csv,
-                                solve_mu, solve_weighted)
+                                solve_mu)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def table_half(table64):
 def test_conv_matches_direct_sum(table64, grid64):
     """Padded-FFT convolution vs an explicit O(N^4) sum on a coarse grid."""
     grid = make_grid(8.0, 16)
-    table = build_greens_table(grid, 0.5, error_probe=False)
+    table = build_greens_table(grid, 0.5)
     rng = np.random.default_rng(7)
     f = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     khat = conv_kernel_hat(table)
@@ -64,16 +65,18 @@ def test_mu_born_expansion_order(grid64, table_half):
 
 def test_mu_grid_mismatch_rejected(gauss64):
     small = make_grid(8.0, 16)
-    table = build_greens_table(small, 0.5, error_probe=False)
+    table = build_greens_table(small, 0.5)
     with pytest.raises(ValueError, match="grids differ"):
         solve_mu(gauss64, table)
 
 
 def test_weighted_solve_agrees_with_fft_solve(gauss64, table_half):
-    """Two independent discretizations of the same equation."""
+    """Two independent discretizations of the same equation: a dense solve
+    of (I - A) mu = 1 on the support against the FFT-Krylov solve."""
     mu = solve_mu(gauss64, table_half)
     kern = build_kernel(gauss64, table_half)
-    mu_dense = solve_weighted(kern)
+    mu_dense = np.linalg.solve(np.eye(kern.size) - kern.dense,
+                               np.ones(kern.size, dtype=complex))
     gap = np.max(np.abs(mu.samples[kern.mask] - mu_dense))
     assert gap < 1e-8
 
@@ -82,7 +85,15 @@ def test_kernel_support_restriction(gauss64, table_half):
     kern = build_kernel(gauss64, table_half)
     assert kern.size == int(np.sum(kern.mask))
     assert 0 < kern.size < 64 * 64
-    assert kern.hs_norm >= kern.block_fro > 0
+    # the weighted block's Frobenius norm is its part of the full-row HS norm
+    w = _weights(kern, 1.0)
+    block_fro = np.linalg.norm(kern.dense * w[None, :] / w[:, None])
+    assert kern.hs_norm >= block_fro > 0
+
+
+def _weights(kern, eps):
+    """(1 + |z|)^((2 + eps)/2) on the kernel's support nodes."""
+    return (1.0 + np.abs(kern.grid.nodes()[kern.mask])) ** ((2.0 + eps) / 2.0)
 
 
 def test_kernel_trace_is_diagonal_sum(gauss64, table_half):
@@ -162,8 +173,8 @@ def test_eigenvalue_one_is_flagged():
     rotated = q @ np.diag([1.0, 0.5, 0.25, -0.3, 0.1, 0.0]) @ q.T
     for dense in (rotated.astype(complex), np.diag([0.5, 1.0, 0.2]) + 0j):
         n = dense.shape[0]
-        kern = KernelMatrix(0.5 + 0j, grid, 1.0, np.zeros((16, 16), bool),
-                            dense, complex(np.trace(dense)), 1.0, 1.0)
+        kern = KernelMatrix(0.5 + 0j, grid, np.zeros((16, 16), bool),
+                            dense, complex(np.trace(dense)), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             d = modified_fredholm_det(kern)
@@ -173,19 +184,27 @@ def test_eigenvalue_one_is_flagged():
         assert d.n_eigs == n
 
 
-def test_kernel_cap_message():
+def test_kernel_cap_message(monkeypatch):
     grid = make_grid(8.0, 16)
     v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
     table = GreensTable(0.5 + 0j, grid, np.zeros((32, 32), complex), {})
-    with pytest.raises(ValueError, match="got N=16"):
-        build_kernel(v, table, dense_cap=8)
+    monkeypatch.setattr(lippmann, "DENSE_N_CAP", 8)
+    with pytest.raises(ValueError, match="capped at N=8; got N=16"):
+        build_kernel(v, table)
 
 
 def test_determinant_weight_independence(gauss64, table_half):
-    """Delta is a similarity invariant: the weight exponent must drop out."""
-    d1 = modified_fredholm_det(build_kernel(gauss64, table_half, eps=1.0))
-    d2 = modified_fredholm_det(build_kernel(gauss64, table_half, eps=2.5))
-    assert d1.delta == pytest.approx(d2.delta, rel=1e-9)
+    """Delta is a similarity invariant: the unweighted block's Delta equals
+    that of the weighted Hilbert-Schmidt kernel for any weight exponent."""
+    kern = build_kernel(gauss64, table_half)
+    d = modified_fredholm_det(kern)
+    for eps in (1.0, 2.5):
+        w = _weights(kern, eps)
+        weighted = KernelMatrix(kern.lam, kern.grid, kern.mask,
+                                kern.dense * w[None, :] / w[:, None],
+                                kern.trace, kern.hs_norm)
+        assert d.delta == pytest.approx(
+            modified_fredholm_det(weighted).delta, rel=1e-9)
 
 
 def test_determinant_born_scaling(grid64, table_half):
@@ -231,18 +250,17 @@ def test_scan_and_detect_no_exceptional_for_weak_potential(grid64):
     assert abs(scan.t_value - 1.0) < 0.05
 
 
-def test_scan_flags_failures_instead_of_raising(gauss64):
+def test_scan_flags_failures_instead_of_raising(gauss64, monkeypatch):
     lgrid = make_lambda_grid(annulus_radii=[0.5], phases=1, t_samples=0)
-    samples = determinant_scan(gauss64, lgrid,
-                               table_opts={"error_threshold": 1e-30})
+    monkeypatch.setattr(greens, "ERROR_THRESHOLD", 1e-30)
+    samples = determinant_scan(gauss64, lgrid)
     assert len(samples) == 2
     assert all(s.flag.startswith("failed:") for s in samples)
     assert all(np.isnan(s.delta.real) for s in samples)
 
 
 def test_determinant_csv(tmp_path):
-    samples = [DeterminantSample(0.5 + 0j, 0.25 + 1e-12j, 1e-12, 10,
-                                 "eigen", 0.7)]
+    samples = [DeterminantSample(0.5 + 0j, 0.25 + 1e-12j, 10, "eigen", 0.7)]
     path = tmp_path / "det.csv"
     save_determinant_csv(samples, path)
     with open(path) as f:
