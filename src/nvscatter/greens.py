@@ -34,7 +34,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, k0
+from scipy.special import exp1
 
 from .grids import Grid
 
@@ -326,17 +326,6 @@ class GreensTable:
         d = (np.arange(2 * N) - N) * h
         return d[:, None] + 1j * d[None, :]
 
-    def value(self, z: complex) -> complex:
-        """Table lookup for z on the difference grid."""
-        N, h = self.grid.N, self.grid.h
-        i = round(z.real / h) + N
-        j = round(z.imag / h) + N
-        if not (0 <= i < 2 * N and 0 <= j < 2 * N):
-            raise ValueError("z outside the difference grid")
-        if abs(z.real - (i - N) * h) > 1e-9 * h or abs(z.imag - (j - N) * h) > 1e-9 * h:
-            raise ValueError("z is not a difference-grid node")
-        return complex(self.samples[i, j])
-
 
 def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray:
     """Cell averages of g over cells centered at d*h, |d|_inf <= radius.
@@ -429,26 +418,6 @@ def build_greens_table(grid: Grid, lam, refine: int = 1,
         os.makedirs(str(cache_dir), exist_ok=True)
         save_table(table, cache_path)
     return table
-
-
-def greens_G(table: GreensTable, z: complex) -> complex:
-    """G(z, lambda) = exp(-(lambda conj(z) + z/lambda)/2) * g(z, lambda)."""
-    lam = table.lam
-    pref = np.exp(-0.5 * (lam * np.conj(z) + z / lam))
-    return complex(pref * table.value(z))
-
-
-def reference_G_on_T(r: float) -> complex:
-    """G(z, lambda) for |lambda| = 1 as a function of r = |z| > 0.
-
-    Equals (-i/4) H0^(1)(i r) = -K0(r) / (2 pi); the sign and 1/(2 pi)
-    scale were pinned against direct quadrature of the defining symbol
-    integral at lambda = 1 (see tests).
-    """
-    r = float(r)
-    if r <= 0:
-        raise ValueError("|z| must be positive")
-    return complex(-k0(r) / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------

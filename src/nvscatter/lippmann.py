@@ -15,6 +15,11 @@ eigenvalues, trace and regularized determinant
 
 which is computed by the second form, from an LU factorisation of the
 unweighted I - A.  The weight enters only the Hilbert-Schmidt norm.
+Columns where v is small are not zero, so the block is not exact on any
+finite support: it starts from the reference support S = {|v| >
+SUPPORT_RTOL * max|v|} and drops the smallest-|v| columns of S for as
+long as Simon's det2 bound keeps the change in Delta at or below
+DELTA_SUPPORT_TOL; the bound is reported with every Delta.
 detect_exceptional flags the exceptional set E = {lambda : Delta(lambda) = 0}
 where the mu-equation loses unique solvability.
 """
@@ -33,6 +38,7 @@ from .greens import GreensTable
 
 DENSE_N_CAP = 128
 SUPPORT_RTOL = 1e-12
+DELTA_SUPPORT_TOL = 1e-10
 MU_TOL = 1e-10
 MU_MAXITER = 400
 NEAR_ONE_TOL = 1e-12
@@ -135,16 +141,21 @@ def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
 
 @dataclass
 class KernelMatrix:
-    """Dense unweighted kernel A[p, q] = g(z_p - z_q) v(z_q) h^2 on the
-    support of v.
+    """Dense unweighted kernel A[p, q] = g(z_p - z_q) v(z_q) h^2 on the kept
+    nodes `mask`.
 
-    Columns where v vanishes (below SUPPORT_RTOL * max|v|) are identically
-    zero and contribute only zero eigenvalues, so the dense block keeps just
-    the support nodes; `mask` records which grid nodes those are.  The block
-    is unweighted: the weight (1+|z|)^((2+eps)/2) is a similarity transform
-    that leaves Delta and Tr A unchanged, and it enters only hs_norm, the
+    The reference support S = {|v| > SUPPORT_RTOL * max|v|} holds every node
+    that could matter; nodes outside it are dropped outright.  Of S, only
+    the nodes with |v| at or above a per-lambda level are kept: the dropped
+    columns are the ones of smallest |v| whose Hilbert-Schmidt mass
+    (rows over S) is small enough that Simon's bound certifies the change
+    in Delta, |Delta_kept - Delta_S| <= support_bound <= DELTA_SUPPORT_TOL
+    (see build_kernel).  support_nodes is |S|.  The block is unweighted:
+    the weight (1+|z|)^((2+eps)/2) is a similarity transform that leaves
+    Delta and Tr A unchanged, and it enters only hs_norm, the
     Hilbert-Schmidt (Frobenius) norm of the weighted kernel over ALL grid
-    rows, the quantity that stays finite as the domain grows.
+    rows and the columns of S, the quantity that stays finite as the domain
+    grows.
     """
 
     lam: complex
@@ -153,6 +164,8 @@ class KernelMatrix:
     dense: np.ndarray
     trace: complex
     hs_norm: float
+    support_bound: float
+    support_nodes: int
 
     @property
     def size(self) -> int:
@@ -161,8 +174,22 @@ class KernelMatrix:
 
 def build_kernel(v: Potential, table: GreensTable,
                  eps: float = 1.0) -> KernelMatrix:
-    """Assemble the dense unweighted kernel block on the support of v; eps
-    is the weight exponent of hs_norm."""
+    """Assemble the dense unweighted kernel block on the certified support;
+    eps is the weight exponent of hs_norm.
+
+    A is the kernel on S.  Dropping the columns D of S leaves B, whose
+    nonzero eigenvalues are those of the kept block, and by B. Simon,
+    Trace Ideals and Their Applications (2nd ed., AMS 2005), Thm 9.2,
+
+        |det2(I - A) - det2(I - B)| <= |A - B|_HS exp((|A|_HS + |B|_HS + 1)^2 / 2)
+
+    with |A - B|_HS^2 = sum_{q in D} c_q, c_q = |v_q h^2|^2 sum_{p in S}
+    |g(z_p - z_q)|^2.  Since |B|_HS <= |A|_HS, D is the longest run of
+    smallest-|v| columns whose summed c_q keeps the bound at or below
+    DELTA_SUPPORT_TOL, trimmed to a |v| level so that nodes of equal |v|
+    (a symmetry orbit) are kept or dropped together.  When nothing can be
+    certified D is empty and the block is the whole of S.
+    """
     _check_same_grid(v, table)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -171,14 +198,39 @@ def build_kernel(v: Potential, table: GreensTable,
         raise ValueError(f"dense determinant mode capped at N={DENSE_N_CAP}; "
                          f"got N={N}")
     h = v.grid.h
-    vmax = np.max(np.abs(v.samples))
-    mask = np.abs(v.samples) > SUPPORT_RTOL * vmax if vmax > 0 else \
-        np.zeros((N, N), dtype=bool)
+    absv = np.abs(v.samples)
+    support = absv > SUPPORT_RTOL * np.max(absv)
+    n_support = int(np.count_nonzero(support))
+    if n_support == 0:
+        return KernelMatrix(table.lam, v.grid, support,
+                            np.zeros((0, 0), dtype=complex), 0j, 0.0, 0.0, 0)
+    col = v.samples[support] * h * h
+    w = (1.0 + np.abs(v.grid.nodes()[support])) ** ((2.0 + eps) / 2.0)
+    row_w = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + eps))
+    hs2 = float(np.sum(np.abs(col * w) ** 2
+                       * _row_weight_sums(table, row_w)[support]))
+
+    # c_q: HS^2 of column q over the rows of S
+    c = np.abs(col) ** 2 \
+        * _row_weight_sums(table, support.astype(float))[support]
+    a_hs = float(np.sqrt(np.sum(c)))
+    # squared budget for |A - B|_HS; a large |A|_HS underflows it to 0,
+    # and then nothing is dropped
+    budget2 = DELTA_SUPPORT_TOL ** 2 * np.exp(-(2.0 * a_hs + 1.0) ** 2)
+    av = absv[support]
+    order = np.argsort(av)
+    n_drop = int(np.searchsorted(np.cumsum(c[order]), budget2, side="right"))
+    keep = av >= (av[order[n_drop]] if n_drop < n_support else np.inf)
+    drop_hs = float(np.sqrt(np.sum(c[~keep])))
+    bound = 0.0
+    if drop_hs > 0:
+        b_hs = float(np.sqrt(np.sum(c[keep])))
+        bound = drop_hs * float(np.exp(0.5 * (a_hs + b_hs + 1.0) ** 2))
+
+    mask = support.copy()
+    mask[support] = keep
+    col = col[keep]
     ii, jj = (x.astype(np.int32) for x in np.nonzero(mask))
-    if ii.size == 0:
-        return KernelMatrix(table.lam, v.grid, mask,
-                            np.zeros((0, 0), dtype=complex), 0j, 0.0)
-    col = v.samples[mask] * h * h
     # one flat int32 gather of g(z_p - z_q) into the table's (2N)^2 entries
     flat = (ii[:, None] - ii[None, :] + N) * (2 * N)
     flat += jj[:, None] - jj[None, :] + N
@@ -186,15 +238,12 @@ def build_kernel(v: Potential, table: GreensTable,
     del flat
     dense *= col[None, :]
     trace = table.samples[N, N] * complex(np.sum(v.samples[mask])) * h * h
-    w = (1.0 + np.abs(v.grid.nodes()[mask])) ** ((2.0 + eps) / 2.0)
-    hs2 = float(np.sum(np.abs(col * w) ** 2
-                       * _row_weight_sums(table, eps)[mask]))
     return KernelMatrix(table.lam, v.grid, mask, dense, trace,
-                        float(np.sqrt(hs2)))
+                        float(np.sqrt(hs2)), bound, n_support)
 
 
-def _row_weight_sums(table: GreensTable, eps: float) -> np.ndarray:
-    """S(q) = sum over ALL grid nodes p of (1+|z_p|)^-(2+eps) |g(z_p - z_q)|^2.
+def _row_weight_sums(table: GreensTable, row_w: np.ndarray) -> np.ndarray:
+    """S(q) = sum over ALL grid nodes p of row_w[p] |g(z_p - z_q)|^2.
 
     One padded-FFT correlation of the row weights with |g|^2 over the table's
     difference grid: the offsets p - q span -(N-1)..N-1 per axis, so a
@@ -203,7 +252,7 @@ def _row_weight_sums(table: GreensTable, eps: float) -> np.ndarray:
     """
     N = table.grid.N
     pad = np.zeros((2 * N, 2 * N))
-    pad[:N, :N] = (1.0 + np.abs(table.grid.nodes())) ** (-(2.0 + eps))
+    pad[:N, :N] = row_w
     g2 = np.abs(table.samples) ** 2
     corr = np.fft.irfft2(np.conj(np.fft.rfft2(pad)) * np.fft.rfft2(g2),
                          s=g2.shape)
@@ -234,13 +283,18 @@ def modified_fredholm_det(kernel: KernelMatrix,
     place.  Pivot swaps fix the sign.  A pivot that is exactly zero, or a
     smallest-to-largest |U_ii| ratio below NEAR_ONE_TOL, marks lambda as
     (near) exceptional; the ratio is kept as diagnostics["min_pivot_ratio"].
+    diagnostics["support_bound"] and ["support_nodes"] are the kernel's
+    certified bound on the change in Delta from the support cut and |S|.
     "lu" is the only method.
     """
     if method != "lu":
         raise ValueError(f"unknown method {method!r}")
     ns = kernel.size
+    diagnostics = {"support_bound": kernel.support_bound,
+                   "support_nodes": kernel.support_nodes}
     if ns == 0:
-        return DeterminantSample(kernel.lam, 1.0 + 0j, 0, "lu-logdet", 0.0)
+        return DeterminantSample(kernel.lam, 1.0 + 0j, 0, "lu-logdet",
+                                 kernel.hs_norm, "", diagnostics)
     mat = np.negative(kernel.dense.T, order="F")
     mat[np.diag_indices(ns)] += 1.0
     lu, piv = lu_factor(mat, overwrite_a=True, check_finite=False)
@@ -257,9 +311,9 @@ def modified_fredholm_det(kernel: KernelMatrix,
         if np.count_nonzero(piv != np.arange(ns)) % 2:
             logdet += 1j * np.pi
         delta = complex(np.exp(logdet + kernel.trace))
+    diagnostics["min_pivot_ratio"] = ratio
     return DeterminantSample(kernel.lam, delta, ns, "lu-logdet",
-                             kernel.hs_norm, flag,
-                             {"min_pivot_ratio": ratio})
+                             kernel.hs_norm, flag, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,6 @@ class ScatteringData:
     def t_records(self):
         return [r for r, p in zip(self.records, self.lgrid.points) if p.on_T]
 
-    def record_for(self, lam, tol: float = 1e-12) -> ScatteringRecord:
-        for r in self.records:
-            if abs(complex(r.lam) - complex(lam)) <= tol:
-                return r
-        raise KeyError(f"no record at lambda={lam}")
-
 
 def solve_point(v: Potential, lam, *, with_ab: bool = True,
                 with_determinant: bool = True, eps: float = 1.0,

@@ -1,16 +1,50 @@
-"""Slow independent oracles for the Green's function g(z, lambda).
+"""Slow independent oracles and lookups for the Green's function g(z, lambda).
 
 direct_symbol_quadrature integrates the defining 2D symbol integral by
 brute force, without the residue reduction the library's evaluator uses;
-reference_G_on_T_hankel is the unit-circle closed form through the Hankel
-function instead of K0.
+reference_G_on_T is the unit-circle closed form through K0 and
+reference_G_on_T_hankel the same through the Hankel function.  table_value
+and greens_G read one difference-grid entry of a table.
 """
 
 import numpy as np
-from scipy.special import hankel1
+from scipy.special import hankel1, k0
 
 from nvscatter.greens import (FOURPI2, _as_lambda, _graded_edges,
                               _panel_rule, singular_points)
+
+
+def table_value(table, z: complex) -> complex:
+    """Table lookup for z on the difference grid."""
+    N, h = table.grid.N, table.grid.h
+    i = round(z.real / h) + N
+    j = round(z.imag / h) + N
+    if not (0 <= i < 2 * N and 0 <= j < 2 * N):
+        raise ValueError("z outside the difference grid")
+    if abs(z.real - (i - N) * h) > 1e-9 * h or \
+            abs(z.imag - (j - N) * h) > 1e-9 * h:
+        raise ValueError("z is not a difference-grid node")
+    return complex(table.samples[i, j])
+
+
+def greens_G(table, z: complex) -> complex:
+    """G(z, lambda) = exp(-(lambda conj(z) + z/lambda)/2) * g(z, lambda)."""
+    lam = table.lam
+    pref = np.exp(-0.5 * (lam * np.conj(z) + z / lam))
+    return complex(pref * table_value(table, z))
+
+
+def reference_G_on_T(r: float) -> complex:
+    """G(z, lambda) for |lambda| = 1 as a function of r = |z| > 0.
+
+    Equals (-i/4) H0^(1)(i r) = -K0(r) / (2 pi); the sign and 1/(2 pi)
+    scale were pinned against direct quadrature of the defining symbol
+    integral at lambda = 1 (see tests).
+    """
+    r = float(r)
+    if r <= 0:
+        raise ValueError("|z| must be positive")
+    return complex(-k0(r) / (2.0 * np.pi))
 
 
 def reference_G_on_T_hankel(r: float) -> complex:

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,14 +140,24 @@ def test_lu_sign_change_matches_eigen_oracle(grid64):
     assert deltas[0] > 0 > deltas[1]
 
 
+def _support(v):
+    return np.abs(v.samples) > 1e-12 * np.max(np.abs(v.samples))
+
+
 def _hs_norm_loop(v, table, eps):
     """Oracle: full-row HS norm by direct summation, in chunks of columns."""
-    N, h = v.grid.N, v.grid.h
-    mask = np.abs(v.samples) > 1e-12 * np.max(np.abs(v.samples))
-    ii, jj = np.nonzero(mask)
+    mask = _support(v)
     w = (1.0 + np.abs(v.grid.nodes()[mask])) ** ((2.0 + eps) / 2.0)
-    col = v.samples[mask] * h * h * w
     inv_w2 = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + eps))
+    return _hs_loop(v, table, mask, w, inv_w2)
+
+
+def _hs_loop(v, table, mask, w, inv_w2):
+    """HS norm of the columns `mask` (column weights w) over all rows with
+    squared row weights inv_w2, by direct summation."""
+    N, h = v.grid.N, v.grid.h
+    ii, jj = np.nonzero(mask)
+    col = v.samples[mask] * h * h * w
     ai = np.arange(N)[:, None, None]
     aj = np.arange(N)[None, :, None]
     hs2 = 0.0
@@ -166,6 +177,91 @@ def test_hs_norm_matches_direct_sum(gauss64, table_half, eps):
         _hs_norm_loop(gauss64, table_half, eps), rel=1e-12)
 
 
+def _full_support_kernel(v, table, monkeypatch):
+    """The kernel on all of S: with a zero budget no column is dropped."""
+    with monkeypatch.context() as m:
+        m.setattr(lippmann, "DELTA_SUPPORT_TOL", 0.0)
+        return build_kernel(v, table)
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.45 * np.exp(0.7j), 1.0, 2.2])
+def test_support_cut_is_certified(gauss64, table64, lam, monkeypatch):
+    """|Delta_cut - Delta_S| <= support_bound <= DELTA_SUPPORT_TOL, with
+    Delta_S from an LU on the whole reference support S."""
+    table = table64(lam)
+    kern = build_kernel(gauss64, table)
+    full = _full_support_kernel(gauss64, table, monkeypatch)
+    support = _support(gauss64)
+    np.testing.assert_array_equal(full.mask, support)
+    assert full.support_bound == 0.0
+    assert kern.support_nodes == full.size == int(np.sum(support))
+    # the cut drops columns, at a |v| level, and only from S
+    assert kern.size < full.size
+    assert not np.any(kern.mask & ~support)
+    absv = np.abs(gauss64.samples)
+    assert absv[kern.mask].min() > absv[support & ~kern.mask].max()
+    d_cut = modified_fredholm_det(kern)
+    d_full = modified_fredholm_det(full)
+    assert abs(d_cut.delta - d_full.delta) <= kern.support_bound <= 1e-10
+    assert d_cut.diagnostics["support_bound"] == kern.support_bound
+    assert d_cut.diagnostics["support_nodes"] == full.size
+    assert kern.hs_norm == full.hs_norm
+
+
+def test_support_cut_bound_matches_direct_sum(gauss64, table_half):
+    """support_bound = |A - B|_HS exp((|A|_HS + |B|_HS + 1)^2 / 2) with each
+    unweighted HS norm summed directly over the rows of S."""
+    kern = build_kernel(gauss64, table_half)
+    support = _support(gauss64)
+    rows = support.astype(float)
+
+    def hs(cols):
+        return _hs_loop(gauss64, table_half, cols, 1.0, rows)
+
+    dropped = hs(support & ~kern.mask)
+    assert dropped > 0
+    expect = dropped * np.exp(0.5 * (hs(support) + hs(kern.mask) + 1.0) ** 2)
+    assert kern.support_bound == pytest.approx(expect, rel=1e-10)
+
+
+def test_support_cut_keeps_S_for_strong_potential(grid64):
+    """Gaussian A = -20: over the rows of S, |A|_HS is 4.9, 9.1 and 12.6 at
+    |lambda| = 0.2, 0.45 and 1, so the exp factor is above 1e25, nothing
+    can be certified and the kernel is exactly S, never more."""
+    v = sample_potential(grid64, "gaussian", {"A": -20.0, "sigma": 1.0})
+    support = _support(v)
+    for lam in (0.2 * np.exp(0.3j), 0.45 * np.exp(0.7j), 1.0):
+        kern = build_kernel(v, build_greens_table(grid64, lam))
+        np.testing.assert_array_equal(kern.mask, support)
+        assert kern.size == kern.support_nodes
+        assert kern.support_bound == 0.0
+
+
+def test_support_cut_can_drop_all_of_S(grid64, table_half, monkeypatch):
+    """Gaussian A = 1e-10: |A|_HS = 4.9e-11 is under the budget
+    1e-10 e^(-1/2) = 6.1e-11, so every column goes, Delta = 1 within the
+    bound, and hs_norm stays over S."""
+    v = sample_potential(grid64, "gaussian", {"A": 1e-10, "sigma": 1.0})
+    kern = build_kernel(v, table_half)
+    full = _full_support_kernel(v, table_half, monkeypatch)
+    assert kern.size == 0 and not kern.mask.any()
+    d = modified_fredholm_det(kern)
+    assert d.delta == 1.0
+    assert abs(modified_fredholm_det(full).delta - 1.0) <= \
+        d.diagnostics["support_bound"] <= 1e-10
+    assert d.hs_norm == full.hs_norm > 0
+
+
+def test_support_cut_masks_match_symmetry_partners(gauss64, table64):
+    """The cut is a |v| level, so lambda, 1/conj(lambda) and i lambda keep
+    the same nodes and Delta's symmetries are not broken by the cut."""
+    lam = 0.45 * np.exp(0.7j)
+    masks = [build_kernel(gauss64, table64(l)).mask
+             for l in (lam, 1.0 / np.conj(lam), 1j * lam)]
+    for mask in masks[1:]:
+        np.testing.assert_array_equal(mask, masks[0])
+
+
 def test_eigenvalue_one_is_flagged():
     """A synthetic block with eigenvalue 1: near-zero and exactly zero pivot."""
     grid = make_grid(8.0, 16)
@@ -174,7 +270,7 @@ def test_eigenvalue_one_is_flagged():
     for dense in (rotated.astype(complex), np.diag([0.5, 1.0, 0.2]) + 0j):
         n = dense.shape[0]
         kern = KernelMatrix(0.5 + 0j, grid, np.zeros((16, 16), bool),
-                            dense, complex(np.trace(dense)), 1.0)
+                            dense, complex(np.trace(dense)), 1.0, 0.0, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             d = modified_fredholm_det(kern)
@@ -200,9 +296,7 @@ def test_determinant_weight_independence(gauss64, table_half):
     d = modified_fredholm_det(kern)
     for eps in (1.0, 2.5):
         w = _weights(kern, eps)
-        weighted = KernelMatrix(kern.lam, kern.grid, kern.mask,
-                                kern.dense * w[None, :] / w[:, None],
-                                kern.trace, kern.hs_norm)
+        weighted = replace(kern, dense=kern.dense * w[None, :] / w[:, None])
         assert d.delta == pytest.approx(
             modified_fredholm_det(weighted).delta, rel=1e-9)
 

