@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grids import Grid, LambdaGrid, Potential
 from .greens import GreensTable
@@ -94,7 +94,7 @@ class MuField:
     grid: Grid
     samples: np.ndarray
     residual: float
-    iterations: int
+    iterations: int  # inner Krylov steps
 
 
 def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
@@ -121,11 +121,17 @@ def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
     x0 = (1.0 + apply_conv(khat, vv)).ravel()  # Born start
     it_count = [0]
 
-    def _cb(xk):
+    def _cb(pr_norm):
         it_count[0] += 1
 
-    x, info = lgmres(op, rhs, x0=x0, rtol=0.05 * tol, atol=0.0,
-                     maxiter=MU_MAXITER, callback=_cb)
+    # gmres, not lgmres: gmres does its vector work in numpy, on the same
+    # OpenBLAS pool as the Green's-table GEMMs, while lgmres calls scipy's
+    # own OpenBLAS, and the two pools' spinning workers slow each other
+    # down on 2 cores (a scan's mu solves at N = 128 took 5x longer).
+    # 30 inner steps per restart, as lgmres had.
+    x, info = gmres(op, rhs, x0=x0, rtol=0.05 * tol, atol=0.0, restart=30,
+                    maxiter=MU_MAXITER, callback=_cb,
+                    callback_type="pr_norm")
     res = np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs)
     if info != 0 or not np.isfinite(res) or res > tol:
         raise ExceptionalSetError(
@@ -282,7 +288,8 @@ def modified_fredholm_det(kernel: KernelMatrix,
     copy of (I - A)^T, which has the same determinant and is factored in
     place.  Pivot swaps fix the sign.  A pivot that is exactly zero, or a
     smallest-to-largest |U_ii| ratio below NEAR_ONE_TOL, marks lambda as
-    (near) exceptional; the ratio is kept as diagnostics["min_pivot_ratio"].
+    (near) exceptional; the ratio is kept as diagnostics["min_pivot_ratio"]
+    (1.0 for an empty block).
     diagnostics["support_bound"] and ["support_nodes"] are the kernel's
     certified bound on the change in Delta from the support cut and |S|.
     "lu" is the only method.
@@ -291,7 +298,8 @@ def modified_fredholm_det(kernel: KernelMatrix,
         raise ValueError(f"unknown method {method!r}")
     ns = kernel.size
     diagnostics = {"support_bound": kernel.support_bound,
-                   "support_nodes": kernel.support_nodes}
+                   "support_nodes": kernel.support_nodes,
+                   "min_pivot_ratio": 1.0}
     if ns == 0:
         return DeterminantSample(kernel.lam, 1.0 + 0j, 0, "lu-logdet",
                                  kernel.hs_norm, "", diagnostics)

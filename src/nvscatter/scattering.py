@@ -106,12 +106,15 @@ class ScatteringRecord:
     flags: list = field(default_factory=list)
 
     def delta_sample(self) -> DeterminantSample:
-        """The Delta sample, or a NaN one flagged "failed: <record flags>"
-        when this lambda has none."""
+        """The Delta sample, or a NaN one (NaN diagnostics too) flagged
+        "failed: <record flags>" when this lambda has none."""
         if self.delta is not None:
             return self.delta
         return DeterminantSample(self.lam, np.nan + 0j, 0, "lu-logdet", np.nan,
-                                 flag=f"failed: {'; '.join(self.flags)}")
+                                 f"failed: {'; '.join(self.flags)}",
+                                 {"support_bound": np.nan,
+                                  "support_nodes": np.nan,
+                                  "min_pivot_ratio": np.nan})
 
 
 @dataclass
@@ -148,7 +151,9 @@ def solve_point(v: Potential, lam, *, with_ab: bool = True,
             mu = MuField(lam, v.grid, np.ones(v.samples.shape, dtype=complex),
                          0.0, 0)
         if with_determinant:
-            det = DeterminantSample(lam, 1.0 + 0j, 0, "lu-logdet", 0.0)
+            det = DeterminantSample(lam, 1.0 + 0j, 0, "lu-logdet", 0.0, "",
+                                    {"support_bound": 0.0, "support_nodes": 0,
+                                     "min_pivot_ratio": 1.0})
         return ScatteringRecord(lam, 0j, 0j, det, 0.0, []), mu
     try:
         table = build_greens_table(v.grid, lam, **(table_opts or {}))

@@ -5,15 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
+from scipy.sparse.linalg import LinearOperator, lgmres
 
 from nvscatter import greens, lippmann
 from nvscatter.greens import GreensTable, build_greens_table
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
-from nvscatter.lippmann import (DeterminantSample, KernelMatrix, apply_conv,
+from nvscatter.lippmann import (DeterminantSample, ExceptionalSetError,
+                                KernelMatrix, MuField, apply_conv,
                                 build_kernel, conv_kernel_hat,
                                 detect_exceptional, determinant_scan,
                                 modified_fredholm_det, save_determinant_csv,
                                 solve_mu)
+from nvscatter.scattering import compute_a, compute_b
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,45 @@ def test_mu_residual_below_tol(gauss64, table_half):
     assert mu.residual < 1e-10
     assert mu.iterations > 0
     assert mu.lam == 0.5
+
+
+def _lgmres_mu(v, table):
+    """Oracle: the same FFT operator and Born start solved by scipy's
+    lgmres, a different Krylov method from solve_mu's."""
+    N = v.grid.N
+    khat = conv_kernel_hat(table)
+
+    def matvec(x):
+        m = x.reshape(N, N)
+        return (m - apply_conv(khat, v.samples * m)).ravel()
+
+    op = LinearOperator((N * N, N * N), matvec=matvec, dtype=complex)
+    x0 = (1.0 + apply_conv(khat, v.samples)).ravel()
+    x, info = lgmres(op, np.ones(N * N, dtype=complex), x0=x0,
+                     rtol=0.05 * lippmann.MU_TOL, atol=0.0)
+    assert info == 0
+    return MuField(table.lam, v.grid, x.reshape(N, N), np.nan, 0)
+
+
+@pytest.mark.parametrize("lam", [0.45 * np.exp(0.7j), 2.2 * np.exp(0.3j),
+                                 np.exp(0.4j)],
+                         ids=["0.45e^0.7i", "2.2e^0.3i", "e^0.4i"])
+def test_mu_matches_lgmres_oracle(gauss64, table64, lam):
+    table = table64(lam)
+    mu = solve_mu(gauss64, table)
+    ref = _lgmres_mu(gauss64, table)
+    for f in (compute_a, compute_b):
+        assert f(gauss64, mu) == pytest.approx(f(gauss64, ref), rel=1e-12)
+    assert mu.residual <= lippmann.MU_TOL
+    assert 1 <= mu.iterations <= 30 * lippmann.MU_MAXITER
+
+
+def test_mu_nonconvergence_raises(gauss64, table_half, monkeypatch):
+    """One restart cycle cannot reach a residual of 1e-30: a real
+    non-convergence, nothing mocked."""
+    monkeypatch.setattr(lippmann, "MU_MAXITER", 1)
+    with pytest.raises(ExceptionalSetError, match="non-convergent"):
+        solve_mu(gauss64, table_half, tol=1e-30)
 
 
 def test_mu_born_expansion_order(grid64, table_half):
@@ -249,6 +291,8 @@ def test_support_cut_can_drop_all_of_S(grid64, table_half, monkeypatch):
     assert d.delta == 1.0
     assert abs(modified_fredholm_det(full).delta - 1.0) <= \
         d.diagnostics["support_bound"] <= 1e-10
+    assert d.diagnostics["support_nodes"] == full.size
+    assert d.diagnostics["min_pivot_ratio"] == 1.0
     assert d.hs_norm == full.hs_norm > 0
 
 
@@ -325,6 +369,8 @@ def test_determinant_empty_support(grid64, table_half):
     d = modified_fredholm_det(kern)
     assert d.delta == 1.0
     assert d.n_eigs == 0
+    assert d.diagnostics == {"support_bound": 0.0, "support_nodes": 0,
+                             "min_pivot_ratio": 1.0}
 
 
 def test_determinant_unknown_method(gauss64, table_half):
@@ -351,6 +397,10 @@ def test_scan_flags_failures_instead_of_raising(gauss64, monkeypatch):
     assert len(samples) == 2
     assert all(s.flag.startswith("failed:") for s in samples)
     assert all(np.isnan(s.delta.real) for s in samples)
+    for s in samples:
+        assert set(s.diagnostics) == {"support_bound", "support_nodes",
+                                      "min_pivot_ratio"}
+        assert all(np.isnan(x) for x in s.diagnostics.values())
 
 
 def test_determinant_csv(tmp_path):

@@ -124,6 +124,9 @@ def test_scan_vacuum_short_circuit(grid64):
     for rec in data.records:
         assert rec.a == 0 and rec.b == 0
         assert rec.delta.delta == 1.0
+        assert rec.delta.diagnostics == {"support_bound": 0.0,
+                                         "support_nodes": 0,
+                                         "min_pivot_ratio": 1.0}
         assert rec.flags == []
     assert data.vhat0 == 0
 
