@@ -48,9 +48,20 @@ LOG_CELL_AVG = np.pi / 4.0 - 1.5 - 0.5 * np.log(2.0)
 CELL_AVG_RADIUS = 1
 CELL_AVG_ORDER = 6
 
-# block length of the table's outer-zone Fourier factor, reduced to
-# gcd(2N, TENSOR_BLOCK) so that the blocks tile the 2N offsets
+# block length of the table's factored exponentials, reduced to
+# gcd(2N, TENSOR_BLOCK) for the 2N columns and gcd(N, TENSOR_BLOCK) for the
+# N rows on each side of 0, so that the blocks tile them
 TENSOR_BLOCK = 16
+
+# Residue factors exp(z) with Re z < EXP_FLOOR are stored as exact 0 and
+# never computed.  A residue term is the product of two such factors, so
+# it is 0 or at least exp(2 EXP_FLOOR) = sqrt(tiny) ~ 1.5e-154 in modulus.
+# That leaves 154 decimal orders for the pole coefficient pi/S, the Gauss
+# weight and the real/imaginary split before a product in the GEMM could
+# be subnormal, and subnormal operands make the products and the GEMM
+# several times slower.  A dropped term is below exp(EXP_FLOOR) ~ 1e-77
+# times its coefficient.  A property of IEEE doubles, not a tunable.
+EXP_FLOOR = math.log(np.finfo(float).tiny) / 4.0
 
 # a table whose error probe reads above this raises QuadratureError
 ERROR_THRESHOLD = 1e-5
@@ -137,6 +148,11 @@ def _panel_rule(edges: np.ndarray, order: int):
     return nodes, weights
 
 
+def _floored_exp(z: np.ndarray) -> np.ndarray:
+    """exp(z), exact 0 where Re z < EXP_FLOOR (those exps are skipped)."""
+    return np.exp(z, out=np.zeros_like(z), where=z.real >= EXP_FLOOR)
+
+
 class _SymbolQuadrature:
     """Residue-reduced evaluator of g(z, lambda) at arbitrary points.
 
@@ -195,7 +211,8 @@ class _SymbolQuadrature:
         """I(xi2, x1) = closed-form xi1 integral, shape (K, len(x1)).
 
         A pole counts on the rows where it closes the contour (Im p has the
-        sign of x1); only there is its exp(i p x1) computed.
+        sign of x1); only there is its exp(i p x1) computed, and entries
+        below EXP_FLOOR are exact zeros.
         """
         S, p1, p2 = self._pole_data(xi2)
         pref = (np.pi / S)[:, None]
@@ -206,11 +223,51 @@ class _SymbolQuadrature:
             x = x1[cols]
             terms = np.zeros((xi2.size, x.size), dtype=complex)
             rows = sign * p1.imag > 0
-            terms[rows] = np.exp(1j * p1[rows, None] * x[None, :])
+            terms[rows] = _floored_exp(1j * p1[rows, None] * x[None, :])
             rows = sign * p2.imag > 0
-            terms[rows] -= np.exp(1j * p2[rows, None] * x[None, :])
+            terms[rows] -= _floored_exp(1j * p2[rows, None] * x[None, :])
             out[:, cols] = sign * pref * terms
         return out
+
+    def _residue_tensor(self, shifts: np.ndarray,
+                        base: np.ndarray) -> np.ndarray:
+        """_residue_integrand(nodes_in, x) on eval_tensor's outward grid.
+
+        Each pole term factors as exp(i p s_b) * exp(i p sign_b t_j).  For
+        the pole that closes the contour on a block's side both factors
+        decay, and factors below EXP_FLOOR are exact zeros.  So the
+        exps per side are K x (blocks + len(base)), not K x (blocks *
+        len(base)).  A row has one closing pole per side except between
+        the two breakpoints, where both close on one side and none on the
+        other; there the second term is added separately.
+        """
+        n_neg = int(np.count_nonzero(shifts < 0))
+        if np.any(shifts[n_neg:] < 0):
+            raise ValueError("negative shifts must come first")
+        S, p1, p2 = self._pole_data(self.nodes_in)
+        pref = np.pi / S
+        out = np.empty((self.nodes_in.size, shifts.size, base.size),
+                       dtype=complex)
+        for blocks, sign in ((slice(0, n_neg), -1.0),
+                             (slice(n_neg, None), 1.0)):
+            s, t = shifts[blocks], sign * base
+            c1 = sign * p1.imag > 0
+            c2 = sign * p2.imag > 0
+            # p = 0 on rows with no closing pole keeps their factors finite
+            p = np.where(c1, p1, np.where(c2, p2, 0.0))
+            coef = sign * pref * np.where(c1, 1.0, np.where(c2, -1.0, 0.0))
+            np.multiply((coef[:, None] * _floored_exp(1j * np.outer(p, s)))
+                        [:, :, None],
+                        _floored_exp(1j * np.outer(p, t))[:, None, :],
+                        out=out[:, blocks])
+            both = c1 & c2
+            if both.any():
+                q = p2[both]
+                out[both, blocks] -= (
+                    (sign * pref[both, None]
+                     * _floored_exp(1j * np.outer(q, s)))[:, :, None]
+                    * _floored_exp(1j * np.outer(q, t))[:, None, :])
+        return out.reshape(self.nodes_in.size, -1)
 
     def _zones(self, x1: np.ndarray):
         """Masks over x1: the outer zone is needed where |x1| < x1_zone,
@@ -241,32 +298,51 @@ class _SymbolQuadrature:
         exp(i xi (s + t)) = exp(i xi s) exp(i xi t), the Fourier factor is
         one (K x len(base)) exp shared by all blocks; each block multiplies
         one exp(i xi s) column into the weighted integrand and does a small
-        matmul.
+        matmul.  The blocks share one buffer for the shifted integrand,
+        which spares a fresh (page-faulted) allocation per block.
         """
         I_out = self._residue_integrand(self.nodes_out, x1) * self.w_out[:, None]
         F_base = np.exp(1j * np.outer(self.nodes_out, base))
+        shifted = np.empty_like(I_out)
         out = np.empty((x1.size, shifts.size, base.size), dtype=complex)
         for b, s in enumerate(shifts):
             col = np.exp(1j * s * self.nodes_out)[:, None]
-            out[:, b, :] = (I_out * col).T @ F_base
+            np.multiply(I_out, col, out=shifted)
+            out[:, b, :] = shifted.T @ F_base
         return out.reshape(x1.size, -1)
 
     # -- public evaluation --------------------------------------------------
 
-    def eval_tensor(self, x1: np.ndarray, shifts: np.ndarray,
-                    base: np.ndarray) -> np.ndarray:
-        """g on the tensor grid x1 (rows) x x2 (cols), x2 given as blocks:
-        x2[b*len(base) + j] = shifts[b] + base[j].
+    def eval_tensor(self, x1_shifts: np.ndarray, x1_base: np.ndarray,
+                    shifts: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """g on the tensor grid x1 (rows) x x2 (cols), both given as blocks.
 
-        The inner zone uses one full exp(i xi x2) factor; the outer zone
-        (only the |x1| < x1_zone rows) is block-shifted, see _outer_tensor.
-        The x1 = x2 = 0 entry, if present, is left as the (meaningless)
-        truncated value.
+        Rows come in outward blocks, x1[b*len(x1_base) + j] = x1_shifts[b]
+        + sign(x1_shifts[b]) * x1_base[j], with x1_base >= 0, sign(0) = +1
+        and the negative shifts first.  Columns are x2[b*len(base) + j] =
+        shifts[b] + base[j].
+
+        Both exponentials of the inner zone are factored over the blocks:
+        the Fourier factor exp(i xi x2) = exp(i xi s_b) exp(i xi t_j), and
+        each residue term exp(i p x1) likewise (see _residue_tensor), so a
+        K_in x len(x) factor costs K_in x (blocks + block length) exps and
+        one complex product instead of K_in x len(x) exps.  Residue
+        factors whose exponent lies below the underflow floor EXP_FLOOR
+        are exact zeros, so no subnormal number reaches the products or
+        the GEMM.  The outer zone (only the |x1| < x1_zone rows) is
+        block-shifted, see _outer_tensor.  The x1 = x2 = 0 entry, if
+        present, is left as the (meaningless) truncated value.
         """
+        sign = np.where(x1_shifts < 0, -1.0, 1.0)
+        x1 = (x1_shifts[:, None] + sign[:, None] * x1_base[None, :]).ravel()
         x2 = (shifts[:, None] + base[None, :]).ravel()
-        F_in = np.exp(1j * np.outer(self.nodes_in, x2)) * self.w_in[:, None]
-        I_in = self._residue_integrand(self.nodes_in, x1)
+        F_shift = np.exp(1j * np.outer(self.nodes_in, shifts)) * self.w_in[:, None]
+        F_base = np.exp(1j * np.outer(self.nodes_in, base))
+        F_in = (F_shift[:, :, None] * F_base[:, None, :]).reshape(-1, x2.size)
+        I_in = self._residue_tensor(x1_shifts, x1_base)
         g = I_in.T @ F_in
+        # free the two K_in x len(x) factors before the outer zone allocates
+        del I_in, F_in
 
         outer, tailed = self._zones(x1)
         if outer.any():
@@ -327,6 +403,18 @@ class GreensTable:
         return d[:, None] + 1j * d[None, :]
 
 
+def _table_axis(N: int, h: float):
+    """The table's row offsets (k - N) h, k < 2N, as eval_tensor's outward
+    blocks: x < 0 is -h, -2h, ..., -N h and x >= 0 is 0, h, ..., (N-1) h,
+    each in blocks of gcd(N, TENSOR_BLOCK).  Returns shifts, base and the
+    index that puts the rows back in ascending order."""
+    block = math.gcd(N, TENSOR_BLOCK)
+    starts = np.arange(0, N, block)
+    shifts = np.concatenate([-(starts + 1.0), starts]) * h
+    order = np.concatenate([np.arange(N - 1, -1, -1), np.arange(N, 2 * N)])
+    return shifts, np.arange(block) * h, order
+
+
 def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray:
     """Cell averages of g over cells centered at d*h, |d|_inf <= radius.
 
@@ -342,7 +430,8 @@ def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray
     offsets = u * h / 2.0
     x = (centres[:, None] + offsets[None, :]).ravel()
     n = centres.size
-    vals = quad.eval_tensor(x, centres, offsets).reshape(n, u.size, n, u.size)
+    vals = quad.eval_tensor(x, np.zeros(1), centres, offsets)
+    vals = vals.reshape(n, u.size, n, u.size)
     r = np.hypot(offsets[:, None], offsets[None, :])
     vals[radius, :, radius, :] -= np.log(r) / (2.0 * np.pi)
     avg = np.einsum("aibj,ij->ab", vals, np.outer(w, w) / 4.0)
@@ -353,6 +442,16 @@ def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray
 def build_greens_table(grid: Grid, lam, refine: int = 1,
                        cache_dir=None) -> GreensTable:
     """Tabulate g(z - zeta, lambda) on the 2N x 2N linear-convolution grid.
+
+    The offsets are a uniform grid, so eval_tensor factors both
+    exponentials of the inner xi2 zone over blocks of TENSOR_BLOCK offsets:
+    the Fourier factor exp(i xi x2) over the 2N columns, and each residue
+    term exp(i p x1) over the rows, stepping outward from x1 = 0 on each
+    side so that both factors decay.  Residue factors below the underflow
+    floor EXP_FLOOR are stored as exact zeros, so no subnormal number
+    enters the products or the GEMM.  The rule (nodes, weights, cut-offs)
+    is unchanged by this and matches a full exp per entry to ~1e-14
+    relative to the largest entry.
 
     The cells within CELL_AVG_RADIUS of the origin hold exact cell averages
     (product-integration handling of the log singularity).  Up to eight
@@ -386,8 +485,10 @@ def build_greens_table(grid: Grid, lam, refine: int = 1,
     N, h = grid.N, grid.h
     d = (np.arange(2 * N) - N) * h
     quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine)
+    shifts, base, order = _table_axis(N, h)
     block = math.gcd(2 * N, TENSOR_BLOCK)
-    g = quad.eval_tensor(d, np.arange(0, 2 * N, block) * h, d[:block])
+    g = quad.eval_tensor(shifts, base, np.arange(0, 2 * N, block) * h,
+                         d[:block])[order]
 
     patch = slice(N - CELL_AVG_RADIUS, N + CELL_AVG_RADIUS + 1)
     g[patch, patch] = _cell_averages(quad, h, CELL_AVG_RADIUS)

@@ -3,8 +3,10 @@
 direct_symbol_quadrature integrates the defining 2D symbol integral by
 brute force, without the residue reduction the library's evaluator uses;
 reference_G_on_T is the unit-circle closed form through K0 and
-reference_G_on_T_hankel the same through the Hankel function.  table_value
-and greens_G read one difference-grid entry of a table.
+reference_G_on_T_hankel the same through the Hankel function.
+full_exp_tensor is the table product with one full exp per factor entry,
+without the library's factoring and underflow floor.
+table_value and greens_G read one difference-grid entry of a table.
 """
 
 import numpy as np
@@ -146,3 +148,42 @@ def direct_symbol_quadrature(z: complex, lam, xi_max: float = 300.0,
     for s in sing:
         total += _oracle_disk(z, lam, s, rho)
     return complex(-total / FOURPI2)
+
+
+def full_exp_residue(quad, xi2, x1):
+    """The closed-form xi1 integral with one full exp(i p x1) per entry."""
+    S, p1, p2 = quad._pole_data(xi2)
+    pref = (np.pi / S)[:, None]
+    out = np.empty((xi2.size, x1.size), dtype=complex)
+    for cols, sign in ((x1 >= 0, 1.0), (x1 < 0, -1.0)):
+        if not cols.any():
+            continue
+        x = x1[cols]
+        terms = np.zeros((xi2.size, x.size), dtype=complex)
+        rows = sign * p1.imag > 0
+        terms[rows] = np.exp(1j * p1[rows, None] * x[None, :])
+        rows = sign * p2.imag > 0
+        terms[rows] -= np.exp(1j * p2[rows, None] * x[None, :])
+        out[:, cols] = sign * pref * terms
+    return out
+
+
+def full_exp_tensor(quad, x):
+    """g on x (rows) x x (cols) with one full exp per factor entry.
+
+    The residue terms exp(i p x1) and the Fourier factors exp(i xi x2) of
+    both xi2 zones are evaluated entry by entry, with no factoring and no
+    underflow floor; the E1 tail is the quadrature's own.  Returns the
+    (meaningless) truncated value at x1 = x2 = 0, like the table's
+    tensor part.
+    """
+    x = np.asarray(x, dtype=float)
+    F_in = np.exp(1j * np.outer(quad.nodes_in, x)) * quad.w_in[:, None]
+    g = full_exp_residue(quad, quad.nodes_in, x).T @ F_in
+    outer, tailed = quad._zones(x)
+    if outer.any():
+        F_out = np.exp(1j * np.outer(quad.nodes_out, x)) * quad.w_out[:, None]
+        g[outer, :] += full_exp_residue(quad, quad.nodes_out, x[outer]).T @ F_out
+    if tailed.any():
+        g[tailed, :] += quad._tail(x[tailed, None], x[None, :])
+    return -g / FOURPI2

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import k0
 
-from nvscatter.greens import (LOG_CELL_AVG, GreensTable, QuadratureError,
-                              _cell_averages, _SymbolQuadrature, cache_key,
+from nvscatter.greens import (CELL_AVG_RADIUS, EXP_FLOOR, LOG_CELL_AVG,
+                              GreensTable, QuadratureError, _cell_averages,
+                              _floored_exp, _SymbolQuadrature,
+                              _table_axis, cache_key,
                               build_greens_table, greens_points, load_table,
                               save_table, singular_points,
                               symbol_denominator)
 from nvscatter.grids import make_grid
-from oracles import (direct_symbol_quadrature, greens_G, reference_G_on_T,
+from oracles import (direct_symbol_quadrature, full_exp_residue,
+                     full_exp_tensor, greens_G, reference_G_on_T,
                      reference_G_on_T_hankel, table_value)
 
 LAM_SAMPLES = [0.5, 0.5 * np.exp(0.8j), 2.0, 1.7 * np.exp(-2.1j),
@@ -165,6 +168,55 @@ def test_block_shifted_outer_zone_matches_full_factor(N):
     ref = I_out.T @ (np.exp(1j * np.outer(quad.nodes_out, d))
                      * quad.w_out[:, None])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+FACTORED_LAMS = [0.45 * np.exp(0.7j), 0.1 * np.exp(0.3j), 0.02 * np.exp(0.9j),
+                 np.exp(0.4j), 0.999 * np.exp(2j), 2.2 * np.exp(1.1j),
+                 10 * np.exp(0.2j)]
+
+
+@pytest.mark.parametrize("lam", FACTORED_LAMS)
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_factored_table_matches_full_exp_oracle(N, lam):
+    grid = make_grid(8.0, N)
+    table = build_greens_table(grid, lam)
+    quad = _SymbolQuadrature(lam, 2.0 * grid.R, grid.h)
+    ref = full_exp_tensor(quad, (np.arange(2 * N) - N) * grid.h)
+    # the origin patch holds cell averages, checked against their own oracle
+    off = np.ones(ref.shape, dtype=bool)
+    patch = slice(N - CELL_AVG_RADIUS, N + CELL_AVG_RADIUS + 1)
+    off[patch, patch] = False
+    diff = np.abs(table.samples - ref)[off]
+    assert np.max(diff) <= 1e-12 * np.max(np.abs(ref[off]))
+
+
+def _subnormal_count(a):
+    parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+    return int(np.count_nonzero((parts != 0)
+                                & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_table_factors_have_no_subnormals(N):
+    grid = make_grid(8.0, N)
+    h = grid.h
+    shifts, base, _ = _table_axis(N, h)
+    d = (np.arange(2 * N) - N) * h
+    u = np.polynomial.legendre.leggauss(6)[0] * h / 2.0
+    patch = (np.array([-h, 0.0, h])[:, None] + u[None, :]).ravel()
+    for lam in FACTORED_LAMS:
+        quad = _SymbolQuadrature(lam, 2.0 * grid.R, h)
+        outer = quad._zones(d)[0]
+        # the residue factors of the table's and the origin patch's GEMMs
+        factors = [quad._residue_tensor(shifts, base),
+                   quad._residue_tensor(patch, np.zeros(1)),
+                   quad._residue_integrand(quad.nodes_out, d[outer]),
+                   quad._residue_integrand(quad.nodes_out, patch)]
+        assert [_subnormal_count(f) for f in factors] == [0, 0, 0, 0], lam
+        # the full-exp factor has them, so the check above can fail
+        assert _subnormal_count(full_exp_residue(quad, quad.nodes_in, d)) > 0
+    f = _floored_exp(np.array([EXP_FLOOR - 1e-9, EXP_FLOOR]) + 1j)
+    assert f[0] == 0 and _subnormal_count(f[1] * f[1]) == 0
 
 
 def test_table_origin_entry_is_cell_average(table64, grid64):
