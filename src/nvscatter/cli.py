@@ -68,12 +68,7 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "mu_tol": _POS,
-                "eps_weight": _POS,
-                "with_determinant": {"type": "boolean"},
-                "table_refine": {"type": "integer", "minimum": 1},
-            },
+            "properties": {"with_determinant": {"type": "boolean"}},
         },
         "checks": {
             "type": "object",
@@ -105,7 +100,6 @@ CONFIG_SCHEMA = {
         },
         "output_dir": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "scan_file": {"type": "string"},
     },
 }
@@ -142,7 +136,7 @@ def load_config(path) -> dict:
 
 
 def build_inputs(cfg: dict):
-    """Materialize (potential, lambda grid, solver opts) from a config."""
+    """Materialize (potential, lambda grid) from a config."""
     gspec = cfg.get("grid", {})
     grid = make_grid(gspec.get("R", 8.0), gspec.get("N", 128))
     pspec = cfg.get("potential", {})
@@ -161,17 +155,8 @@ def build_inputs(cfg: dict):
     return v, lgrid
 
 
-def _solver_opts(cfg: dict, cache_dir):
-    sol = cfg.get("solver", {})
-    table_opts = {"refine": sol.get("table_refine", 1)}
-    if cache_dir:
-        table_opts["cache_dir"] = cache_dir
-    return {
-        "mu_tol": sol.get("mu_tol", 1e-10),
-        "eps": sol.get("eps_weight", 1.0),
-        "with_determinant": sol.get("with_determinant", True),
-        "table_opts": table_opts,
-    }
+def _with_determinant(cfg: dict) -> bool:
+    return cfg.get("solver", {}).get("with_determinant", True)
 
 
 def _write_scan(data: ScatteringData, out_dir: str,
@@ -186,11 +171,12 @@ def _write_scan(data: ScatteringData, out_dir: str,
                              os.path.join(out_dir, "determinant.csv"))
 
 
-def cmd_scan(cfg: dict, out_dir: str, threads: int, cache_dir) -> int:
+def cmd_scan(cfg: dict, out_dir: str, cache_dir) -> int:
     v, lgrid = build_inputs(cfg)
-    opts = _solver_opts(cfg, cache_dir)
-    data = scan(v, lgrid, threads=threads, **opts)
-    _write_scan(data, out_dir, opts["with_determinant"])
+    with_determinant = _with_determinant(cfg)
+    data = scan(v, lgrid, with_determinant=with_determinant,
+                cache_dir=cache_dir)
+    _write_scan(data, out_dir, with_determinant)
     n_flagged = sum(bool(r.flags) for r in data.records)
     print(f"scan: {len(data.records)} lambda samples, {n_flagged} flagged; "
           f"output in {out_dir}")
@@ -206,16 +192,15 @@ def _soliton_samples(annuli, n, rng):
     return np.concatenate(lams)
 
 
-def run_checks(cfg: dict, threads: int, cache_dir, seed: int):
+def run_checks(cfg: dict, cache_dir, seed: int):
     v, lgrid = build_inputs(cfg)
-    opts = _solver_opts(cfg, cache_dir)
-    table_opts = opts["table_opts"]
     ck = cfg.get("checks", {})
     include = ck.get("include", DEFAULT_CHECKS)
     records = []
     data = None
     if {"ab_on_T", "delta_properties", "transparency_chain"} & set(include):
-        data = scan(v, lgrid, threads=threads, **opts)
+        data = scan(v, lgrid, with_determinant=_with_determinant(cfg),
+                    cache_dir=cache_dir)
     if "ab_on_T" in include:
         records.append(V.check_ab_on_T(data))
     if "delta_properties" in include:
@@ -225,26 +210,25 @@ def run_checks(cfg: dict, threads: int, cache_dir, seed: int):
     if "dbar_a" in include:
         lam = _cplx(ck.get("dbar_lambda"), 0.5 + 0j)
         records.append(V.check_dbar_a(v, lam, h_step=step, tol=tol,
-                                      table_opts=table_opts))
+                                      cache_dir=cache_dir))
     if "dbar_mu" in include:
         lam = _cplx(ck.get("dbar_mu_lambda"),
                     0.5 * np.exp(1j * np.pi / 4))
         zs = [_cplx(p) for p in ck.get("mu_z_samples", [[0, 0], [1, 0],
                                                         [0, 1]])]
         records.append(V.check_dbar_mu(v, zs, lam, h_step=step, tol=tol,
-                                       table_opts=table_opts))
+                                       cache_dir=cache_dir))
     if "dbar_lndelta" in include:
         lam = _cplx(ck.get("dbar_lndelta_lambda"), 0.4 + 0j)
         records.append(V.check_dbar_lndelta(v, lam, h_step=step, tol=tol,
-                                            eps=opts["eps"],
-                                            table_opts=table_opts))
+                                            cache_dir=cache_dir))
     if "shift_lemma" in include:
         zeta = _cplx(ck.get("shift_zeta"), 1 + 1j)
         lams = [_cplx(p) for p in ck.get("shift_lambdas", [[0.5, 0],
                                                            [0.3, 0.4]])]
         records.append(V.check_shift_lemma(v, zeta, lams,
                                            tol=ck.get("shift_tol", 1e-3),
-                                           table_opts=table_opts))
+                                           cache_dir=cache_dir))
     if "soliton_obstruction" in include:
         records.extend(soliton_records(cfg, seed))
     if "transparency_chain" in include:
@@ -267,14 +251,12 @@ def soliton_records(cfg: dict, seed: int):
                                   mismatch_floor=floor) for c in cs]
 
 
-def cmd_verify(cfg: dict, out_dir: str, threads: int, cache_dir,
-               seed: int) -> int:
-    report, data = run_checks(cfg, threads, cache_dir, seed)
+def cmd_verify(cfg: dict, out_dir: str, cache_dir, seed: int) -> int:
+    report, data = run_checks(cfg, cache_dir, seed)
     os.makedirs(out_dir, exist_ok=True)
     V.save_report(report, os.path.join(out_dir, "report.json"))
     if data is not None:
-        _write_scan(data, out_dir,
-                    _solver_opts(cfg, cache_dir)["with_determinant"])
+        _write_scan(data, out_dir, _with_determinant(cfg))
     print(report.summary())
     return 0 if report.overall == "pass" else 2
 
@@ -320,8 +302,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default from config)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default from config, else 1)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--cache-dir", default=None,
                         help=f"greens-table cache (default ${CACHE_ENV})")
@@ -336,22 +316,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("output_dir", ".")
-        threads = (args.threads if args.threads is not None
-                   else cfg.get("threads", 1))
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
         if args.command == "scan":
-            return cmd_scan(cfg, out_dir, threads, cache_dir)
+            return cmd_scan(cfg, out_dir, cache_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, threads, cache_dir, seed)
+            return cmd_verify(cfg, out_dir, cache_dir, seed)
         if args.command == "demo-soliton":
             return cmd_demo_soliton(cfg, out_dir, seed)
-        if args.command == "export":
-            return cmd_export(cfg, out_dir, args.scan_file)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return cmd_export(cfg, out_dir, args.scan_file)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

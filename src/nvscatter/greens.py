@@ -439,8 +439,7 @@ def _cell_averages(quad: _SymbolQuadrature, h: float, radius: int) -> np.ndarray
     return avg
 
 
-def build_greens_table(grid: Grid, lam, refine: int = 1,
-                       cache_dir=None) -> GreensTable:
+def build_greens_table(grid: Grid, lam, cache_dir=None) -> GreensTable:
     """Tabulate g(z - zeta, lambda) on the 2N x 2N linear-convolution grid.
 
     The offsets are a uniform grid, so eval_tensor factors both
@@ -457,16 +456,17 @@ def build_greens_table(grid: Grid, lam, refine: int = 1,
     (product-integration handling of the log singularity).  Up to eight
     diagonal entries outside that patch are re-evaluated at doubled Gauss
     order; the largest absolute discrepancy is stored as
-    record["error_estimate"] and, if above ERROR_THRESHOLD, raised as
-    QuadratureError.  The probe keeps the same xi cut-offs (xi_inner,
-    xi_outer) and E1 tail, so it sees only the Gauss-order error, not the
-    truncation error: it reads ~1e-16 at N = 16..128 while the table
-    differs from the K0 closed form on |lambda| = 1 by up to 2.5e-9.
+    record["error_estimate"]; an estimate above ERROR_THRESHOLD, or any
+    entry or estimate that is not finite, raises QuadratureError.  The
+    probe keeps the same xi cut-offs (xi_inner, xi_outer) and E1 tail, so
+    it sees only the Gauss-order error, not the truncation error: it reads
+    ~1e-16 at N = 16..128 while the table differs from the K0 closed form
+    on |lambda| = 1 by up to 2.5e-9.
     With cache_dir set, tables are reloaded from / saved to files keyed by
     (lambda, R, N, rule id).
     """
     lam_c = _as_lambda(lam)
-    rule_id = f"residue1d-gl{16 * refine}-avg{CELL_AVG_RADIUS}"
+    rule_id = f"residue1d-gl16-avg{CELL_AVG_RADIUS}"
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(str(cache_dir),
@@ -484,7 +484,7 @@ def build_greens_table(grid: Grid, lam, refine: int = 1,
             return table
     N, h = grid.N, grid.h
     d = (np.arange(2 * N) - N) * h
-    quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine)
+    quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h)
     shifts, base, order = _table_axis(N, h)
     block = math.gcd(2 * N, TENSOR_BLOCK)
     g = quad.eval_tensor(shifts, base, np.arange(0, 2 * N, block) * h,
@@ -492,14 +492,18 @@ def build_greens_table(grid: Grid, lam, refine: int = 1,
 
     patch = slice(N - CELL_AVG_RADIUS, N + CELL_AVG_RADIUS + 1)
     g[patch, patch] = _cell_averages(quad, h, CELL_AVG_RADIUS)
+    n_bad = int(np.count_nonzero(~np.isfinite(g)))
+    if n_bad:
+        raise QuadratureError(f"{n_bad} table entries are not finite at "
+                              f"lambda={lam_c}")
 
-    probe = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, 2 * refine)
+    probe = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine=2)
     idx = np.linspace(1, 2 * N - 2, 8).astype(int)
     # skip the origin patch: those entries hold cell AVERAGES on purpose
     idx = idx[np.abs(idx - N) > CELL_AVG_RADIUS]
     ref = probe.eval_points(d[idx], d[idx])
     estimate = float(np.max(np.abs(ref - g[idx, idx])))
-    if estimate > ERROR_THRESHOLD:
+    if not estimate <= ERROR_THRESHOLD:
         raise QuadratureError(
             f"quadrature error estimate {estimate:.2e} exceeds "
             f"threshold {ERROR_THRESHOLD:.2e} at lambda={lam_c}")

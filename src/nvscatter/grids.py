@@ -76,8 +76,9 @@ class Potential:
     """Real decaying potential sampled on a grid.
 
     q and eps form the algebraic decay certificate
-    |v(z)| <= q*(1+|z|)^(-2-eps) at every node; alpha (when set) is the
-    exponential decay rate of the family.
+    |v(z)| <= q*(1+|z|)^(-2-eps) at every node; eps is also the weight
+    exponent of the Fredholm kernel's Hilbert-Schmidt norm.  alpha (when
+    set) is the exponential decay rate of the family.
     """
 
     grid: Grid
@@ -95,6 +96,8 @@ class Potential:
             raise ValueError("samples shape does not match grid")
         if np.iscomplexobj(self.samples):
             raise ValueError("potential samples must be real")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be positive and finite")
 
     def evaluate(self, z):
         """Evaluate the analytic form at arbitrary points.

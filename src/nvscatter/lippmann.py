@@ -6,7 +6,8 @@ kernel
 
     A_w(z, zeta) = (1+|z|)^(-(2+eps)/2) g(z-zeta) v(zeta) (1+|zeta|)^((2+eps)/2) h^2
 
-is Hilbert-Schmidt for decaying v.  It is a similarity transform of the
+is Hilbert-Schmidt for |v| <= q (1+|z|)^(-2-eps), with eps the potential's
+own decay exponent (Potential.eps).  It is a similarity transform of the
 unweighted block A(z, zeta) = g(z-zeta) v(zeta) h^2, so both have the same
 eigenvalues, trace and regularized determinant
 
@@ -97,12 +98,13 @@ class MuField:
     iterations: int  # inner Krylov steps
 
 
-def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
+def solve_mu(v: Potential, table: GreensTable) -> MuField:
     """Solve the integral equation by Krylov iteration on the FFT operator.
 
-    Residual is the relative 2-norm of mu - 1 - Conv_g(v mu).  Stagnation is
-    reported as ExceptionalSetError since non-convergence at reasonable
-    resolution signals lambda in (or near) the exceptional set E.
+    Residual is the relative 2-norm of mu - 1 - Conv_g(v mu), at most
+    MU_TOL (read at call time).  Stagnation is reported as
+    ExceptionalSetError since non-convergence at reasonable resolution
+    signals lambda in (or near) the exceptional set E.
     """
     _check_same_grid(v, table)
     N = v.grid.N
@@ -129,11 +131,11 @@ def solve_mu(v: Potential, table: GreensTable, tol: float = MU_TOL) -> MuField:
     # own OpenBLAS, and the two pools' spinning workers slow each other
     # down on 2 cores (a scan's mu solves at N = 128 took 5x longer).
     # 30 inner steps per restart, as lgmres had.
-    x, info = gmres(op, rhs, x0=x0, rtol=0.05 * tol, atol=0.0, restart=30,
-                    maxiter=MU_MAXITER, callback=_cb,
+    x, info = gmres(op, rhs, x0=x0, rtol=0.05 * MU_TOL, atol=0.0,
+                    restart=30, maxiter=MU_MAXITER, callback=_cb,
                     callback_type="pr_norm")
     res = np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs)
-    if info != 0 or not np.isfinite(res) or res > tol:
+    if info != 0 or not np.isfinite(res) or res > MU_TOL:
         raise ExceptionalSetError(
             f"mu iteration non-convergent at lambda={table.lam:.6g} "
             f"(residual {res:.3e}) -- lambda likely in exceptional set E")
@@ -178,10 +180,9 @@ class KernelMatrix:
         return self.dense.shape[0]
 
 
-def build_kernel(v: Potential, table: GreensTable,
-                 eps: float = 1.0) -> KernelMatrix:
+def build_kernel(v: Potential, table: GreensTable) -> KernelMatrix:
     """Assemble the dense unweighted kernel block on the certified support;
-    eps is the weight exponent of hs_norm.
+    the potential's decay exponent v.eps is the weight exponent of hs_norm.
 
     A is the kernel on S.  Dropping the columns D of S leaves B, whose
     nonzero eigenvalues are those of the kept block, and by B. Simon,
@@ -197,8 +198,6 @@ def build_kernel(v: Potential, table: GreensTable,
     certified D is empty and the block is the whole of S.
     """
     _check_same_grid(v, table)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     N = v.grid.N
     if N > DENSE_N_CAP:
         raise ValueError(f"dense determinant mode capped at N={DENSE_N_CAP}; "
@@ -211,8 +210,8 @@ def build_kernel(v: Potential, table: GreensTable,
         return KernelMatrix(table.lam, v.grid, support,
                             np.zeros((0, 0), dtype=complex), 0j, 0.0, 0.0, 0)
     col = v.samples[support] * h * h
-    w = (1.0 + np.abs(v.grid.nodes()[support])) ** ((2.0 + eps) / 2.0)
-    row_w = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + eps))
+    w = (1.0 + np.abs(v.grid.nodes()[support])) ** ((2.0 + v.eps) / 2.0)
+    row_w = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + v.eps))
     hs2 = float(np.sum(np.abs(col * w) ** 2
                        * _row_weight_sums(table, row_w)[support]))
 
@@ -274,7 +273,6 @@ class DeterminantSample:
     lam: complex
     delta: complex
     n_eigs: int
-    method: str
     hs_norm: float
     flag: str = ""
     diagnostics: dict = field(default_factory=dict)
@@ -301,8 +299,8 @@ def modified_fredholm_det(kernel: KernelMatrix,
                    "support_nodes": kernel.support_nodes,
                    "min_pivot_ratio": 1.0}
     if ns == 0:
-        return DeterminantSample(kernel.lam, 1.0 + 0j, 0, "lu-logdet",
-                                 kernel.hs_norm, "", diagnostics)
+        return DeterminantSample(kernel.lam, 1.0 + 0j, 0, kernel.hs_norm, "",
+                                 diagnostics)
     mat = np.negative(kernel.dense.T, order="F")
     mat[np.diag_indices(ns)] += 1.0
     lu, piv = lu_factor(mat, overwrite_a=True, check_finite=False)
@@ -320,23 +318,21 @@ def modified_fredholm_det(kernel: KernelMatrix,
             logdet += 1j * np.pi
         delta = complex(np.exp(logdet + kernel.trace))
     diagnostics["min_pivot_ratio"] = ratio
-    return DeterminantSample(kernel.lam, delta, ns, "lu-logdet",
-                             kernel.hs_norm, flag, diagnostics)
+    return DeterminantSample(kernel.lam, delta, ns, kernel.hs_norm, flag,
+                             diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # lambda-grid determinant scan and exceptional-set detection
 
 
-def determinant_scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-                     threads: int = 1,
-                     table_opts: dict | None = None) -> list[DeterminantSample]:
+def determinant_scan(v: Potential,
+                     lgrid: LambdaGrid) -> list[DeterminantSample]:
     """The Delta column of scattering.scan(..., with_ab=False), one
     delta_sample per lambda."""
     from .scattering import scan  # scattering imports this module
 
-    data = scan(v, lgrid, eps=eps, with_determinant=True, threads=threads,
-                table_opts=table_opts, with_ab=False)
+    data = scan(v, lgrid, with_ab=False)
     return [r.delta_sample() for r in data.records]
 
 
@@ -347,14 +343,13 @@ class ExceptionalScan:
     t_value: complex | None
 
 
-def detect_exceptional(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-                       threads: int = 1) -> ExceptionalScan:
+def detect_exceptional(v: Potential, lgrid: LambdaGrid) -> ExceptionalScan:
     """Flag lambda where |Delta| drops below EXCEPTIONAL_RTOL * max|Delta|.
 
     Also reports the (constant) value of Delta on the unit circle when the
     grid contains |lambda| = 1 samples.
     """
-    samples = determinant_scan(v, lgrid, eps=eps, threads=threads)
+    samples = determinant_scan(v, lgrid)
     finite = [s for s in samples if np.isfinite(s.delta)]
     if not finite:
         return ExceptionalScan([], samples, None)
@@ -367,14 +362,13 @@ def detect_exceptional(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
 
 
 def save_determinant_csv(samples: list, path) -> None:
-    """CSV columns: re/im lambda, polar lambda, re/im Delta, method, hs, flag."""
+    """CSV columns: re/im lambda, polar lambda, re/im Delta, hs, flag."""
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["re_lambda", "im_lambda", "abs_lambda", "arg_lambda",
-                     "re_delta", "im_delta", "method", "hs_norm", "flag"])
+                     "re_delta", "im_delta", "hs_norm", "flag"])
         for s in samples:
             lam = complex(s.lam)
             wr.writerow([repr(lam.real), repr(lam.imag), repr(abs(lam)),
                          repr(float(np.angle(lam))), repr(s.delta.real),
-                         repr(s.delta.imag), s.method, repr(float(s.hs_norm)),
-                         s.flag])
+                         repr(s.delta.imag), repr(float(s.hs_norm)), s.flag])

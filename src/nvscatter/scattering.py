@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import LambdaGrid, Potential, fourier_hat_v
 from .greens import build_greens_table
-from .lippmann import (MU_TOL, DeterminantSample, MuField, build_kernel,
+from .lippmann import (DeterminantSample, MuField, build_kernel,
                        modified_fredholm_det, solve_mu)
 
 FOURPI2 = 4.0 * np.pi ** 2
@@ -110,7 +109,7 @@ class ScatteringRecord:
         "failed: <record flags>" when this lambda has none."""
         if self.delta is not None:
             return self.delta
-        return DeterminantSample(self.lam, np.nan + 0j, 0, "lu-logdet", np.nan,
+        return DeterminantSample(self.lam, np.nan + 0j, 0, np.nan,
                                  f"failed: {'; '.join(self.flags)}",
                                  {"support_bound": np.nan,
                                   "support_nodes": np.nan,
@@ -134,13 +133,12 @@ class ScatteringData:
 
 
 def solve_point(v: Potential, lam, *, with_ab: bool = True,
-                with_determinant: bool = True, eps: float = 1.0,
-                mu_tol: float = MU_TOL, table_opts: dict | None = None):
+                with_determinant: bool = True, cache_dir=None):
     """(record, mu) at one lambda: table -> mu -> a, b; kernel -> Delta.
 
     A failed stage becomes a record flag and leaves its values NaN (a, b)
     or None (Delta, mu).  A vanishing potential needs no table: mu = 1,
-    a = b = 0, Delta = 1.
+    a = b = 0, Delta = 1.  cache_dir is the Green's-table cache, if any.
     """
     flags = []
     a = b = np.nan + 0j
@@ -151,18 +149,18 @@ def solve_point(v: Potential, lam, *, with_ab: bool = True,
             mu = MuField(lam, v.grid, np.ones(v.samples.shape, dtype=complex),
                          0.0, 0)
         if with_determinant:
-            det = DeterminantSample(lam, 1.0 + 0j, 0, "lu-logdet", 0.0, "",
+            det = DeterminantSample(lam, 1.0 + 0j, 0, 0.0, "",
                                     {"support_bound": 0.0, "support_nodes": 0,
                                      "min_pivot_ratio": 1.0})
         return ScatteringRecord(lam, 0j, 0j, det, 0.0, []), mu
     try:
-        table = build_greens_table(v.grid, lam, **(table_opts or {}))
+        table = build_greens_table(v.grid, lam, cache_dir=cache_dir)
     except Exception as exc:  # noqa: BLE001
         return ScatteringRecord(lam, a, b, None, mu_res,
                                 [f"table-failed: {exc}"]), None
     if with_ab:
         try:
-            mu = solve_mu(v, table, tol=mu_tol)
+            mu = solve_mu(v, table)
             mu_res = mu.residual
             a = compute_a(v, mu)
             try:
@@ -173,7 +171,7 @@ def solve_point(v: Potential, lam, *, with_ab: bool = True,
             flags.append(f"mu-failed: {exc}")
     if with_determinant:
         try:
-            det = modified_fredholm_det(build_kernel(v, table, eps=eps))
+            det = modified_fredholm_det(build_kernel(v, table))
             if det.flag:
                 flags.append(det.flag)
         except Exception as exc:  # noqa: BLE001
@@ -181,22 +179,13 @@ def solve_point(v: Potential, lam, *, with_ab: bool = True,
     return ScatteringRecord(lam, a, b, det, mu_res, flags), mu
 
 
-def scan(v: Potential, lgrid: LambdaGrid, eps: float = 1.0,
-         with_determinant: bool = True, mu_tol: float = MU_TOL,
-         threads: int = 1, table_opts: dict | None = None,
-         with_ab: bool = True) -> ScatteringData:
-    """solve_point per lambda, in grid order whatever the worker
-    scheduling; no mu field is kept."""
-    def one(point):
-        return solve_point(v, point.lam, with_ab=with_ab,
-                           with_determinant=with_determinant, eps=eps,
-                           mu_tol=mu_tol, table_opts=table_opts)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, lgrid.points))
-    else:
-        records = [one(p) for p in lgrid.points]
+def scan(v: Potential, lgrid: LambdaGrid, with_determinant: bool = True,
+         with_ab: bool = True, cache_dir=None) -> ScatteringData:
+    """solve_point per lambda, in grid order; no mu field is kept."""
+    records = [solve_point(v, p.lam, with_ab=with_ab,
+                           with_determinant=with_determinant,
+                           cache_dir=cache_dir)[0]
+               for p in lgrid.points]
     return ScatteringData(lgrid, records, v.fingerprint(), v.family,
                           fourier_hat_v(v, 0.0), v.grid.R, v.grid.N)
 

@@ -172,13 +172,13 @@ def check_delta_properties(data: ScatteringData) -> list:
 # d-bar finite-difference checks
 
 
-def _point(v, lam, table_opts, *, need=("a",), eps=1.0):
+def _point(v, lam, cache_dir, *, need=("a",)):
     """The values named in `need` ("a", "b", "mu" samples or "delta") at
     one lambda; ValueError, naming lambda and the record's flags, if the
     record lacks one."""
     rec, mu = solve_point(v, lam, with_ab="delta" not in need,
-                          with_determinant="delta" in need, eps=eps,
-                          table_opts=table_opts)
+                          with_determinant="delta" in need,
+                          cache_dir=cache_dir)
     got = {"a": rec.a, "b": rec.b, "mu": None if mu is None else mu.samples,
            "delta": None if rec.delta is None else rec.delta.delta}
     if any(got[k] is None or not np.all(np.isfinite(got[k])) for k in need):
@@ -217,7 +217,7 @@ def _fd_residual(res: float, res_half: float, tol: float):
 
 
 def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
-                 tol: float = 0.05, table_opts: dict | None = None) -> CheckRecord:
+                 tol: float = 0.05, cache_dir=None) -> CheckRecord:
     """d a / d conj(lambda) = pi sgn(|lambda|^2-1) |b|^2 / conj(lambda).
 
     Sign orientation fixed by the solver-independent second-order test (see
@@ -229,9 +229,9 @@ def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
         return _inapplicable("dbar_a", anchor, "stencil crosses T or 0")
 
     def a_of(l):
-        return _point(v, l, table_opts)[0]
+        return _point(v, l, cache_dir)[0]
 
-    b, = _point(v, lam, table_opts, need=("b",))
+    b, = _point(v, lam, cache_dir, need=("b",))
     rhs = np.pi * np.sign(abs(lam) ** 2 - 1.0) * b * np.conj(b) / np.conj(lam)
     lhs = _fd_dbar(a_of, lam, h_step)
     lhs_half = _fd_dbar(a_of, lam, h_step / 2.0)
@@ -240,7 +240,7 @@ def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
 
 
 def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
-                  tol: float = 0.05, table_opts: dict | None = None) -> CheckRecord:
+                  tol: float = 0.05, cache_dir=None) -> CheckRecord:
     """d mu / d conj(lambda) = r(lambda) e^{phase(z)} conj(mu) at sampled z."""
     anchor = "dbar-derivative-of-mu"
     lam = complex(lam)
@@ -253,10 +253,10 @@ def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
            for z in z_samples]
 
     def mu_of(l):
-        m, = _point(v, l, table_opts, need=("mu",))
+        m, = _point(v, l, cache_dir, need=("mu",))
         return np.array([m[i, j] for i, j in idx])
 
-    b, mu0 = _point(v, lam, table_opts, need=("b", "mu"))
+    b, mu0 = _point(v, lam, cache_dir, need=("b", "mu"))
     rl = r_coefficient(lam, b)
     zs = np.array([ax[i] + 1j * ax[j] for i, j in idx])
     phase = np.conj(_b_phase(lam, zs))
@@ -271,8 +271,7 @@ def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
 
 
 def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
-                       tol: float = 0.05, eps: float = 1.0,
-                       table_opts: dict | None = None) -> CheckRecord:
+                       tol: float = 0.05, cache_dir=None) -> CheckRecord:
     """d ln Delta / d conj(lambda) =
     -pi sgn(|lambda|^2-1) (a(1/conj(lambda)) - vhat(0)) / conj(lambda)."""
     anchor = "dbar-derivative-of-log-determinant"
@@ -281,12 +280,12 @@ def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
         return _inapplicable("dbar_lndelta", anchor, "stencil crosses T or 0")
 
     def ln_delta(l):
-        d, = _point(v, l, table_opts, need=("delta",), eps=eps)
+        d, = _point(v, l, cache_dir, need=("delta",))
         if abs(d) < 1e-8:
             raise ArithmeticError("Delta too small on stencil")
         return np.log(d)
 
-    a_mirror, = _point(v, 1.0 / np.conj(lam), table_opts)
+    a_mirror, = _point(v, 1.0 / np.conj(lam), cache_dir)
     rhs = (-np.pi * np.sign(abs(lam) ** 2 - 1.0)
            * (a_mirror - fourier_hat_v(v, 0.0)) / np.conj(lam))
     try:
@@ -309,7 +308,7 @@ def shift_phase(lam: complex, zeta: complex) -> complex:
 
 
 def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
-                      table_opts: dict | None = None) -> CheckRecord:
+                      cache_dir=None) -> CheckRecord:
     """Translating v by zeta keeps a and multiplies b by a unit phase.
 
     Both sides come from fully independent solves.
@@ -320,8 +319,8 @@ def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
     res_a = res_b = 0.0
     for lam in lam_samples:
         lam = complex(lam)
-        a0, b0 = _point(v, lam, table_opts, need=("a", "b"))
-        a1, b1 = _point(v_shift, lam, table_opts, need=("a", "b"))
+        a0, b0 = _point(v, lam, cache_dir, need=("a", "b"))
+        a1, b1 = _point(v_shift, lam, cache_dir, need=("a", "b"))
         res_a = max(res_a, abs(a1 - a0) / (abs(a0) + GUARD))
         res_b = max(res_b, abs(b1 - shift_phase(lam, zeta) * b0)
                     / (abs(b0) + GUARD))

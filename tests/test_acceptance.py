@@ -57,14 +57,14 @@ def gauss128(grid128):
 
 @pytest.fixture(scope="session")
 def scan128(gauss128, acc_lgrid, cache_dir):
-    return scan(gauss128, acc_lgrid, table_opts={"cache_dir": cache_dir})
+    return scan(gauss128, acc_lgrid, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="session")
 def scan64(acc_lgrid, cache_dir):
     grid = make_grid(8.0, 64)
     v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
-    return scan(v, acc_lgrid, table_opts={"cache_dir": cache_dir})
+    return scan(v, acc_lgrid, cache_dir=cache_dir)
 
 
 def _residuals(data):
@@ -215,7 +215,7 @@ def test_shift_lemma_24_lambdas(gauss128, cache_dir):
             for r in radii + [1.0 / rr for rr in radii] for k in range(4)]
     assert len(lams) == 24
     rec = check_shift_lemma(gauss128, 1.0 + 1.0j, lams,
-                            table_opts={"cache_dir": cache_dir})
+                            cache_dir=cache_dir)
     assert rec.status == "pass", rec.residual
     assert rec.details["residual_a"] <= 1e-3
     assert rec.details["residual_b"] <= 1e-3
@@ -226,7 +226,7 @@ def test_shift_lemma_24_lambdas(gauss128, cache_dir):
 
 def test_dbar_a_128(gauss128, cache_dir):
     rec = check_dbar_a(gauss128, 0.5, tol=0.05,
-                       table_opts={"cache_dir": cache_dir})
+                       cache_dir=cache_dir)
     assert rec.status == "pass", rec.residual
     assert rec.details["fd_consistent"]
 
@@ -234,14 +234,14 @@ def test_dbar_a_128(gauss128, cache_dir):
 def test_dbar_mu_128(gauss128, cache_dir):
     rec = check_dbar_mu(gauss128, [0.0, 1.0, 1.0j],
                         0.5 * np.exp(0.25j * np.pi), tol=0.05,
-                        table_opts={"cache_dir": cache_dir})
+                        cache_dir=cache_dir)
     assert rec.status == "pass", rec.residual
     assert rec.details["fd_consistent"]
 
 
 def test_dbar_lndelta_128(gauss128, cache_dir):
     rec = check_dbar_lndelta(gauss128, 0.4, tol=0.05,
-                             table_opts={"cache_dir": cache_dir})
+                             cache_dir=cache_dir)
     assert rec.status == "pass", rec.residual
     assert rec.details["fd_consistent"]
 

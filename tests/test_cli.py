@@ -39,10 +39,21 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(p))
 
 
-def test_load_config_unknown_key(tmp_path):
+def test_load_config_unknown_key(tmp_path, capsys):
+    """Unknown keys, and the removed threads, solver.mu_tol,
+    solver.eps_weight and solver.table_refine, are config errors that name
+    the key."""
     p = write_cfg(tmp_path, extra_key={"x": 1})
     with pytest.raises(ConfigError, match="extra_key"):
         load_config(p)
+    for key, cfg in [("threads", {"threads": 2}),
+                     ("mu_tol", {"solver": {"mu_tol": 1e-8}}),
+                     ("eps_weight", {"solver": {"eps_weight": 2.0}}),
+                     ("table_refine", {"solver": {"table_refine": 2}})]:
+        p = write_cfg(tmp_path, **cfg)
+        assert main(["scan", "--config", p,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_load_config_path_in_error(tmp_path):
@@ -159,24 +170,6 @@ def test_cache_dir_flag(tmp_path):
     assert rc == 0
     # second run reused every cached table instead of rewriting it
     assert {f: (cache / f).stat().st_mtime_ns for f in files} == mtimes
-
-
-def test_threads_from_config(tmp_path, monkeypatch):
-    import nvscatter.cli as cli
-
-    seen = {}
-
-    def fake_scan(cfg, out_dir, threads, cache_dir):
-        seen["threads"] = threads
-        return 0
-
-    monkeypatch.setattr(cli, "cmd_scan", fake_scan)
-    cfg = write_cfg(tmp_path, threads=2)
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert seen["threads"] == 2
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path),
-                 "--threads", "1"]) == 0
-    assert seen["threads"] == 1
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

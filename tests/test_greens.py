@@ -5,13 +5,15 @@ import pytest
 from scipy.special import k0
 
 from nvscatter.greens import (CELL_AVG_RADIUS, EXP_FLOOR, LOG_CELL_AVG,
-                              GreensTable, QuadratureError, _cell_averages,
+                              TENSOR_BLOCK, GreensTable, QuadratureError,
+                              _cell_averages,
                               _floored_exp, _SymbolQuadrature,
                               _table_axis, cache_key,
                               build_greens_table, greens_points, load_table,
                               save_table, singular_points,
                               symbol_denominator)
-from nvscatter.grids import make_grid
+from nvscatter.grids import make_grid, sample_potential
+from nvscatter.scattering import solve_point
 from oracles import (direct_symbol_quadrature, full_exp_residue,
                      full_exp_tensor, greens_G, reference_G_on_T,
                      reference_G_on_T_hankel, table_value)
@@ -108,10 +110,36 @@ def test_oracle_normalization_pins_scale():
 
 
 def test_refinement_convergence():
+    """The table against the same tensor evaluation and origin patch at
+    doubled Gauss order."""
     grid = make_grid(8.0, 32)
-    t1 = build_greens_table(grid, 0.6, refine=1)
-    t2 = build_greens_table(grid, 0.6, refine=2)
-    assert np.max(np.abs(t1.samples - t2.samples)) < 1e-9
+    N, h = grid.N, grid.h
+    t1 = build_greens_table(grid, 0.6)
+    fine = _SymbolQuadrature(0.6, 2.0 * grid.R, h, refine=2)
+    shifts, base, order = _table_axis(N, h)
+    d = (np.arange(2 * N) - N) * h
+    block = np.gcd(2 * N, TENSOR_BLOCK)
+    t2 = fine.eval_tensor(shifts, base, np.arange(0, 2 * N, block) * h,
+                          d[:block])[order]
+    patch = slice(N - CELL_AVG_RADIUS, N + CELL_AVG_RADIUS + 1)
+    t2[patch, patch] = _cell_averages(fine, h, CELL_AVG_RADIUS)
+    assert np.max(np.abs(t1.samples - t2)) < 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_table_raises():
+    """At R = 30, |lambda| = 0.02 the E1 tail prefactor exp(-i m x2)
+    overflows on the x1 = 0 column (|m| ~ 25, |x2| up to 60) and leaves 13
+    NaN entries that the error probe misses.  The table is refused, and
+    solve_point flags the failure."""
+    grid = make_grid(30.0, 16)
+    lam = 0.02 * np.exp(0.9j)
+    with pytest.raises(QuadratureError, match="not finite"):
+        build_greens_table(grid, lam)
+    v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
+    rec, mu = solve_point(v, lam)
+    assert mu is None
+    assert rec.flags[0].startswith("table-failed:")
 
 
 def test_table_matches_point_evaluator(table64, grid64):

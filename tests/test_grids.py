@@ -69,6 +69,17 @@ def test_sample_rejects_bad_params(grid64):
         sample_potential(grid64, "nosuch", {"A": 1.0})
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+def test_potential_rejects_bad_eps(grid64, eps):
+    """eps is the decay exponent and the kernel's HS weight exponent; it
+    must be positive and finite however the potential is made."""
+    with pytest.raises(ValueError, match="eps"):
+        sample_potential(grid64, "gaussian", {"A": 0.5, "sigma": 1.0},
+                         eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        custom_potential(grid64, np.ones((64, 64)), eps=eps)
+
+
 def test_decay_certificate(grid64):
     v = sample_potential(grid64, "gaussian", {"A": 0.5, "sigma": 1.0})
     z = grid64.nodes()

@@ -145,30 +145,17 @@ def test_vacuum_determinant_scan_builds_no_table(grid64, monkeypatch):
         assert s.flag == ""
 
 
-def _fields(rec):
-    d = rec.delta
-    return (rec.lam, rec.a, rec.b, rec.mu_residual, rec.flags,
-            None if d is None else (d.delta, d.n_eigs, d.hs_norm, d.flag))
-
-
-def test_threaded_scan_matches_serial():
-    # Delta on: every stage runs in the worker threads
+def test_determinant_scan_is_scan_delta_column():
     grid = make_grid(8.0, 32)
     v = sample_potential(grid, "gaussian", {"A": 0.5, "sigma": 1.0})
     lgrid = make_lambda_grid(annulus_radii=[0.3, 0.6], phases=2,
                              t_samples=2)
-    serial = scan(v, lgrid, threads=1)
-    threaded = scan(v, lgrid, threads=2)
-    assert [_fields(r) for r in threaded.records] == \
-        [_fields(r) for r in serial.records]
-    assert [r.lam for r in threaded.records] == [p.lam for p in lgrid.points]
-    assert all(r.delta is not None for r in serial.records)
-    det1 = determinant_scan(v, lgrid, threads=1)
-    det2 = determinant_scan(v, lgrid, threads=2)
-    assert [(s.lam, s.delta, s.flag) for s in det2] == \
-        [(s.lam, s.delta, s.flag) for s in det1]
+    data = scan(v, lgrid)
+    assert [r.lam for r in data.records] == [p.lam for p in lgrid.points]
+    assert all(r.delta is not None for r in data.records)
     # the Delta column of the scan, bit for bit
-    assert [s.delta for s in det1] == [r.delta.delta for r in serial.records]
+    assert [s.delta for s in determinant_scan(v, lgrid)] == \
+        [r.delta.delta for r in data.records]
 
 
 def test_scan_records_follow_grid_order(gauss64):

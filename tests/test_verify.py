@@ -102,8 +102,7 @@ def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
     grid = make_grid(8.0, 16)
     v = sample_potential(grid, "gaussian", {"A": 0.3, "sigma": 1.0})
     lam, h = 0.4 + 0j, 1e-3
-    check_dbar_lndelta(v, lam, h_step=h,
-                       table_opts={"cache_dir": tmp_path, "refine": 1})
+    check_dbar_lndelta(v, lam, h_step=h, cache_dir=tmp_path)
     files = set(os.listdir(tmp_path))
     for step in (h, h / 2):
         for l in (lam + step, lam - step, lam + 1j * step, lam - 1j * step):
