@@ -17,20 +17,13 @@ Run:  python demos/soliton_obstruction.py        (instant)
 
 import numpy as np
 
-from nvscatter.verify import soliton_mismatch, soliton_obstruction
+from nvscatter.verify import (soliton_mismatch, soliton_obstruction,
+                              soliton_samples)
 
 print(__doc__)
 
-rng = np.random.default_rng(0)
-
-
-def annulus_samples(rmin, rmax, n):
-    r = np.exp(rng.uniform(np.log(rmin), np.log(rmax), n))
-    return r * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-
-
-lams = np.concatenate([annulus_samples(0.01, 0.1, 64),
-                       annulus_samples(10.0, 100.0, 64)])
+# 64 lambda in each of 0.01 < |lambda| < 0.1 and 10 < |lambda| < 100
+lams = soliton_samples(np.random.default_rng(0))
 
 print("fraction of sampled lambda with |m(lambda; c)| > 1e-8:")
 for c in (0.0, 1.0, 4.0 + 3.0j, -2.5j):

@@ -1,10 +1,20 @@
 """Configuration-driven command line front end.
 
-Commands:
+Commands, and the flags each takes besides --config and --out:
     scan          run a, b, Delta over the spectral grid; write JSON + CSV
+                  (--cache-dir)
     verify        run the identity-check suite; write report JSON + text
+                  (--seed, --cache-dir)
     demo-soliton  phase-mismatch demonstration for traveling-wave candidates
+                  (--seed)
     export        re-emit CSV mirrors from a previous scan's JSON output
+                  (--scan-file)
+
+Any other flag is a usage error (exit 2 from argparse).  A config key
+outside CONFIG_SCHEMA, or a `checks.include` that is empty or names a check
+outside DEFAULT_CHECKS, is a fatal error.  The check points and tolerances
+the config does not set are constants in `verify` (FD_STEP, MU_Z_SAMPLES,
+SHIFT_ZETA, SHIFT_TOL, MISMATCH_FLOOR and the SOLITON_* values).
 
 Exit codes: 0 success, 2 completed with per-lambda flags, 1 fatal error.
 Greens tables are cached under $NVSCATTER_CACHE when set (or --cache-dir).
@@ -32,6 +42,10 @@ CACHE_ENV = "NVSCATTER_CACHE"
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _CPLX = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+
+DEFAULT_CHECKS = ["ab_on_T", "delta_properties", "dbar_a", "dbar_mu",
+                  "dbar_lndelta", "shift_lemma", "soliton_obstruction",
+                  "transparency_chain"]
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -74,28 +88,13 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "include": {"type": "array", "items": {"type": "string"}},
+                "include": {"type": "array", "minItems": 1,
+                            "items": {"enum": DEFAULT_CHECKS}},
                 "dbar_lambda": _CPLX,
                 "dbar_mu_lambda": _CPLX,
                 "dbar_lndelta_lambda": _CPLX,
-                "dbar_step": _POS,
                 "dbar_tol": _POS,
-                "shift_zeta": _CPLX,
                 "shift_lambdas": {"type": "array", "items": _CPLX},
-                "shift_tol": _POS,
-                "mu_z_samples": {"type": "array", "items": _CPLX},
-            },
-        },
-        "soliton": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "c_values": {"type": "array", "items": _CPLX},
-                "annuli": {"type": "array",
-                           "items": {"type": "array", "items": _POS,
-                                     "minItems": 2, "maxItems": 2}},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "mismatch_floor": _POS,
             },
         },
         "output_dir": {"type": "string"},
@@ -103,10 +102,6 @@ CONFIG_SCHEMA = {
         "scan_file": {"type": "string"},
     },
 }
-
-DEFAULT_CHECKS = ["ab_on_T", "delta_properties", "dbar_a", "dbar_mu",
-                  "dbar_lndelta", "shift_lemma", "soliton_obstruction",
-                  "transparency_chain"]
 
 
 class ConfigError(ValueError):
@@ -183,15 +178,6 @@ def cmd_scan(cfg: dict, out_dir: str, cache_dir) -> int:
     return 2 if n_flagged else 0
 
 
-def _soliton_samples(annuli, n, rng):
-    lams = []
-    for rmin, rmax in annuli:
-        radii = np.exp(rng.uniform(np.log(rmin), np.log(rmax), size=n))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        lams.append(radii * np.exp(1j * phases))
-    return np.concatenate(lams)
-
-
 def run_checks(cfg: dict, cache_dir, seed: int):
     v, lgrid = build_inputs(cfg)
     ck = cfg.get("checks", {})
@@ -205,32 +191,25 @@ def run_checks(cfg: dict, cache_dir, seed: int):
         records.append(V.check_ab_on_T(data))
     if "delta_properties" in include:
         records.extend(V.check_delta_properties(data))
-    step = ck.get("dbar_step", 1e-3)
     tol = ck.get("dbar_tol", 0.05)
     if "dbar_a" in include:
         lam = _cplx(ck.get("dbar_lambda"), 0.5 + 0j)
-        records.append(V.check_dbar_a(v, lam, h_step=step, tol=tol,
-                                      cache_dir=cache_dir))
+        records.append(V.check_dbar_a(v, lam, tol=tol, cache_dir=cache_dir))
     if "dbar_mu" in include:
         lam = _cplx(ck.get("dbar_mu_lambda"),
                     0.5 * np.exp(1j * np.pi / 4))
-        zs = [_cplx(p) for p in ck.get("mu_z_samples", [[0, 0], [1, 0],
-                                                        [0, 1]])]
-        records.append(V.check_dbar_mu(v, zs, lam, h_step=step, tol=tol,
-                                       cache_dir=cache_dir))
+        records.append(V.check_dbar_mu(v, lam, tol=tol, cache_dir=cache_dir))
     if "dbar_lndelta" in include:
         lam = _cplx(ck.get("dbar_lndelta_lambda"), 0.4 + 0j)
-        records.append(V.check_dbar_lndelta(v, lam, h_step=step, tol=tol,
+        records.append(V.check_dbar_lndelta(v, lam, tol=tol,
                                             cache_dir=cache_dir))
     if "shift_lemma" in include:
-        zeta = _cplx(ck.get("shift_zeta"), 1 + 1j)
         lams = [_cplx(p) for p in ck.get("shift_lambdas", [[0.5, 0],
                                                            [0.3, 0.4]])]
-        records.append(V.check_shift_lemma(v, zeta, lams,
-                                           tol=ck.get("shift_tol", 1e-3),
+        records.append(V.check_shift_lemma(v, V.SHIFT_ZETA, lams,
                                            cache_dir=cache_dir))
     if "soliton_obstruction" in include:
-        records.extend(soliton_records(cfg, seed))
+        records.extend(V.soliton_records(seed))
     if "transparency_chain" in include:
         records.append(V.transparency_chain_demo(v, data))
     meta = {"grid": {"R": v.grid.R, "N": v.grid.N},
@@ -238,17 +217,6 @@ def run_checks(cfg: dict, cache_dir, seed: int):
                           "fingerprint": v.fingerprint()},
             "lambda_grid": lgrid.descriptor, "seed": seed}
     return V.assemble_report(records, meta), data
-
-
-def soliton_records(cfg: dict, seed: int):
-    sol = cfg.get("soliton", {})
-    cs = [_cplx(p) for p in sol.get("c_values", [[0, 0], [1, 0], [4, 3]])]
-    annuli = sol.get("annuli", [[0.01, 0.1], [10.0, 100.0]])
-    n = sol.get("n_samples", 64)
-    floor = sol.get("mismatch_floor", 1e-8)
-    rng = np.random.default_rng(seed)
-    return [V.soliton_obstruction(c, _soliton_samples(annuli, n, rng),
-                                  mismatch_floor=floor) for c in cs]
 
 
 def cmd_verify(cfg: dict, out_dir: str, cache_dir, seed: int) -> int:
@@ -261,8 +229,8 @@ def cmd_verify(cfg: dict, out_dir: str, cache_dir, seed: int) -> int:
     return 0 if report.overall == "pass" else 2
 
 
-def cmd_demo_soliton(cfg: dict, out_dir: str, seed: int) -> int:
-    records = soliton_records(cfg, seed)
+def cmd_demo_soliton(out_dir: str, seed: int) -> int:
+    records = V.soliton_records(seed)
     os.makedirs(out_dir, exist_ok=True)
     report = V.assemble_report(records, {"seed": seed})
     V.save_report(report, os.path.join(out_dir, "soliton_report.json"))
@@ -296,34 +264,41 @@ def cmd_export(cfg: dict, out_dir: str, scan_file: str | None) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only the flags that command reads."""
     p = argparse.ArgumentParser(prog="nvscatter", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("scan", "verify", "demo-soliton", "export"):
-        sp = sub.add_parser(name)
+    cmds = {name: sub.add_parser(name)
+            for name in ("scan", "verify", "demo-soliton", "export")}
+    for sp in cmds.values():
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default from config)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--cache-dir", default=None,
-                        help=f"greens-table cache (default ${CACHE_ENV})")
-        if name == "export":
-            sp.add_argument("--scan-file", default=None,
-                            help="scattering JSON to convert")
+    for name in ("verify", "demo-soliton"):
+        cmds[name].add_argument("--seed", type=int, default=None,
+                                help="soliton sample seed (default from "
+                                     "config, else 0)")
+    for name in ("scan", "verify"):
+        cmds[name].add_argument("--cache-dir", default=None,
+                                help=f"greens-table cache (default "
+                                     f"${CACHE_ENV})")
+    cmds["export"].add_argument("--scan-file", default=None,
+                                help="scattering JSON to convert")
     return p
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    opts = vars(args)
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("output_dir", ".")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
+        seed = cfg.get("seed", 0) if opts.get("seed") is None else args.seed
+        cache_dir = opts.get("cache_dir") or os.environ.get(CACHE_ENV) or None
         if args.command == "scan":
             return cmd_scan(cfg, out_dir, cache_dir)
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, cache_dir, seed)
         if args.command == "demo-soliton":
-            return cmd_demo_soliton(cfg, out_dir, seed)
+            return cmd_demo_soliton(out_dir, seed)
         return cmd_export(cfg, out_dir, args.scan_file)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,10 +22,16 @@ from .scattering import (ScatteringData, _b_phase, _kappa, born_b,
 T_BAND = 0.05
 FD_STEP = 1e-3
 GUARD = 1e-14
+# check_dbar_mu compares mu at the grid nodes nearest these z
+MU_Z_SAMPLES = (0, 1, 1j)
+# `nvscatter verify` shifts v by SHIFT_ZETA; check_shift_lemma passes at
+# SHIFT_TOL
+SHIFT_ZETA = 1 + 1j
+SHIFT_TOL = 1e-3
 
 AB_ON_T_TOL = 1e-3
 # check_delta_properties: Im Delta, spread of |Delta| on T, Delta - 1 at the
-# smallest/largest |lambda|, inversion symmetry, and the refinement error
+# smallest/largest |lambda|, inversion symmetry, and a fixed reference
 # whose 10x bounds the largest radial jump
 DELTA_REALNESS_TOL = 1e-6
 DELTA_T_SPREAD_TOL = 1e-3
@@ -33,8 +39,13 @@ DELTA_LIMIT_TOL = 0.01
 DELTA_INVERSION_TOL = 1e-4
 DELTA_CONTINUITY_REF = 1e-3
 # soliton_obstruction passes when at least this fraction of the samples
-# has a nonvanishing phase mismatch
+# has a phase mismatch above MISMATCH_FLOOR; soliton_records tests these
+# velocities on SOLITON_SAMPLES log-uniform lambda per annulus
 SOLITON_MIN_FRACTION = 0.95
+MISMATCH_FLOOR = 1e-8
+SOLITON_VELOCITIES = (0, 1, 4 + 3j)
+SOLITON_ANNULI = ((0.01, 0.1), (10.0, 100.0))
+SOLITON_SAMPLES = 64
 # transparency_chain_demo: max|b| must reach this fraction of max|Born b|
 TRANSPARENCY_FACTOR = 0.5
 
@@ -97,7 +108,7 @@ def check_delta_properties(data: ScatteringData) -> list:
     out = []
 
     # continuity proxy: largest jump between radially adjacent samples per
-    # phase ray, compared against 10x a reference refinement error
+    # phase ray, compared against 10x DELTA_CONTINUITY_REF
     by_phase = {}
     for r in recs:
         lam = complex(r.lam)
@@ -110,8 +121,9 @@ def check_delta_properties(data: ScatteringData) -> list:
             jump = max(jump, abs(d2 - d1))
     out.append(_record("delta_continuity", "determinant-continuity-proxy",
                        jump, 10.0 * DELTA_CONTINUITY_REF,
-                       {"note": "largest radial jump; reference is the "
-                                "configured refinement error"}))
+                       {"note": "largest radial jump; tolerance is 10x the "
+                                "fixed constant DELTA_CONTINUITY_REF = "
+                                f"{DELTA_CONTINUITY_REF:g}"}))
 
     # limits: Delta -> 1 toward 0 and infinity (smallest/largest |lambda|)
     radii = np.array([abs(complex(r.lam)) for r in recs])
@@ -199,8 +211,10 @@ def _fd_dbar(f, lam: complex, h: float) -> complex:
     return 0.5 * (fx + 1j * fy)
 
 
-def _rel(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), GUARD)
+def _rel(lhs, rhs) -> float:
+    """Largest relative difference over the entries of lhs and rhs."""
+    return max(abs(l - r) / max(abs(l), abs(r), GUARD)
+               for l, r in zip(np.atleast_1d(lhs), np.atleast_1d(rhs)))
 
 
 def _fd_residual(res: float, res_half: float, tol: float):
@@ -216,85 +230,83 @@ def _fd_residual(res: float, res_half: float, tol: float):
     return (res if consistent else max(res, res_half)), details
 
 
-def check_dbar_a(v: Potential, lam, h_step: float = FD_STEP,
-                 tol: float = 0.05, cache_dir=None) -> CheckRecord:
+def _dbar_check(cid, anchor, lam, tol, rhs_of, f) -> CheckRecord:
+    """Compare rhs_of(lam) with d f / d conj(lambda) at steps FD_STEP and
+    FD_STEP/2.
+
+    rhs_of runs before the stencil, then the step-h and step-h/2 stencils
+    run in turn.  An ArithmeticError from f makes the record inapplicable.
+    """
+    lam = complex(lam)
+    if not _stencil_ok(lam, FD_STEP):
+        return _inapplicable(cid, anchor, "stencil crosses T or 0")
+    rhs = rhs_of(lam)
+    try:
+        lhs = _fd_dbar(f, lam, FD_STEP)
+        lhs_half = _fd_dbar(f, lam, FD_STEP / 2.0)
+    except ArithmeticError as exc:
+        return _inapplicable(cid, anchor, str(exc))
+    res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
+    return _record(cid, anchor, res, tol, details)
+
+
+def check_dbar_a(v: Potential, lam, tol: float = 0.05,
+                 cache_dir=None) -> CheckRecord:
     """d a / d conj(lambda) = pi sgn(|lambda|^2-1) |b|^2 / conj(lambda).
 
     Sign orientation fixed by the solver-independent second-order test (see
     r_coefficient).
     """
-    anchor = "dbar-derivative-of-a"
-    lam = complex(lam)
-    if not _stencil_ok(lam, h_step):
-        return _inapplicable("dbar_a", anchor, "stencil crosses T or 0")
+    def rhs_of(lam):
+        b, = _point(v, lam, cache_dir, need=("b",))
+        return (np.pi * np.sign(abs(lam) ** 2 - 1.0) * b * np.conj(b)
+                / np.conj(lam))
 
-    def a_of(l):
-        return _point(v, l, cache_dir)[0]
-
-    b, = _point(v, lam, cache_dir, need=("b",))
-    rhs = np.pi * np.sign(abs(lam) ** 2 - 1.0) * b * np.conj(b) / np.conj(lam)
-    lhs = _fd_dbar(a_of, lam, h_step)
-    lhs_half = _fd_dbar(a_of, lam, h_step / 2.0)
-    res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
-    return _record("dbar_a", anchor, res, tol, details)
+    return _dbar_check("dbar_a", "dbar-derivative-of-a", lam, tol, rhs_of,
+                       lambda l: _point(v, l, cache_dir)[0])
 
 
-def check_dbar_mu(v: Potential, z_samples, lam, h_step: float = FD_STEP,
-                  tol: float = 0.05, cache_dir=None) -> CheckRecord:
-    """d mu / d conj(lambda) = r(lambda) e^{phase(z)} conj(mu) at sampled z."""
-    anchor = "dbar-derivative-of-mu"
-    lam = complex(lam)
-    if not _stencil_ok(lam, h_step):
-        return _inapplicable("dbar_mu", anchor, "stencil crosses T or 0")
-    grid = v.grid
-    ax = grid.axis()
+def check_dbar_mu(v: Potential, lam, tol: float = 0.05,
+                  cache_dir=None) -> CheckRecord:
+    """d mu / d conj(lambda) = r(lambda) e^{phase(z)} conj(mu) at the grid
+    nodes nearest MU_Z_SAMPLES."""
+    ax = v.grid.axis()
     idx = [(int(np.argmin(np.abs(ax - complex(z).real))),
             int(np.argmin(np.abs(ax - complex(z).imag))))
-           for z in z_samples]
+           for z in MU_Z_SAMPLES]
 
     def mu_of(l):
         m, = _point(v, l, cache_dir, need=("mu",))
         return np.array([m[i, j] for i, j in idx])
 
-    b, mu0 = _point(v, lam, cache_dir, need=("b", "mu"))
-    rl = r_coefficient(lam, b)
-    zs = np.array([ax[i] + 1j * ax[j] for i, j in idx])
-    phase = np.conj(_b_phase(lam, zs))
-    mu_c = np.array([mu0[i, j] for i, j in idx])
-    rhs = rl * phase * np.conj(mu_c)
-    lhs = _fd_dbar(mu_of, lam, h_step)
-    lhs_half = _fd_dbar(mu_of, lam, h_step / 2.0)
-    res, details = _fd_residual(max(_rel(l, r) for l, r in zip(lhs, rhs)),
-                                max(_rel(l, r) for l, r in zip(lhs_half, rhs)),
-                                tol)
-    return _record("dbar_mu", anchor, res, tol, details)
+    def rhs_of(lam):
+        b, mu0 = _point(v, lam, cache_dir, need=("b", "mu"))
+        zs = np.array([ax[i] + 1j * ax[j] for i, j in idx])
+        mu_c = np.array([mu0[i, j] for i, j in idx])
+        return (r_coefficient(lam, b) * np.conj(_b_phase(lam, zs))
+                * np.conj(mu_c))
+
+    return _dbar_check("dbar_mu", "dbar-derivative-of-mu", lam, tol, rhs_of,
+                       mu_of)
 
 
-def check_dbar_lndelta(v: Potential, lam, h_step: float = FD_STEP,
-                       tol: float = 0.05, cache_dir=None) -> CheckRecord:
+def check_dbar_lndelta(v: Potential, lam, tol: float = 0.05,
+                       cache_dir=None) -> CheckRecord:
     """d ln Delta / d conj(lambda) =
     -pi sgn(|lambda|^2-1) (a(1/conj(lambda)) - vhat(0)) / conj(lambda)."""
-    anchor = "dbar-derivative-of-log-determinant"
-    lam = complex(lam)
-    if not _stencil_ok(lam, h_step):
-        return _inapplicable("dbar_lndelta", anchor, "stencil crosses T or 0")
-
     def ln_delta(l):
         d, = _point(v, l, cache_dir, need=("delta",))
         if abs(d) < 1e-8:
             raise ArithmeticError("Delta too small on stencil")
         return np.log(d)
 
-    a_mirror, = _point(v, 1.0 / np.conj(lam), cache_dir)
-    rhs = (-np.pi * np.sign(abs(lam) ** 2 - 1.0)
-           * (a_mirror - fourier_hat_v(v, 0.0)) / np.conj(lam))
-    try:
-        lhs = _fd_dbar(ln_delta, lam, h_step)
-        lhs_half = _fd_dbar(ln_delta, lam, h_step / 2.0)
-    except ArithmeticError as exc:
-        return _inapplicable("dbar_lndelta", anchor, str(exc))
-    res, details = _fd_residual(_rel(lhs, rhs), _rel(lhs_half, rhs), tol)
-    return _record("dbar_lndelta", anchor, res, tol, details)
+    def rhs_of(lam):
+        a_mirror, = _point(v, 1.0 / np.conj(lam), cache_dir)
+        return (-np.pi * np.sign(abs(lam) ** 2 - 1.0)
+                * (a_mirror - fourier_hat_v(v, 0.0)) / np.conj(lam))
+
+    return _dbar_check("dbar_lndelta", "dbar-derivative-of-log-determinant",
+                       lam, tol, rhs_of, ln_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +319,10 @@ def shift_phase(lam: complex, zeta: complex) -> complex:
     return complex(_b_phase(complex(lam), complex(zeta)))
 
 
-def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
+def check_shift_lemma(v: Potential, zeta, lam_samples,
                       cache_dir=None) -> CheckRecord:
-    """Translating v by zeta keeps a and multiplies b by a unit phase.
+    """Translating v by zeta keeps a and multiplies b by a unit phase, to
+    SHIFT_TOL.
 
     Both sides come from fully independent solves.
     """
@@ -324,7 +337,7 @@ def check_shift_lemma(v: Potential, zeta, lam_samples, tol: float = 1e-3,
         res_a = max(res_a, abs(a1 - a0) / (abs(a0) + GUARD))
         res_b = max(res_b, abs(b1 - shift_phase(lam, zeta) * b0)
                     / (abs(b0) + GUARD))
-    return _record("shift_lemma", anchor, max(res_a, res_b), tol,
+    return _record("shift_lemma", anchor, max(res_a, res_b), SHIFT_TOL,
                    {"zeta": [zeta.real, zeta.imag], "residual_a": res_a,
                     "residual_b": res_b, "n_lambda": len(list(lam_samples))})
 
@@ -343,16 +356,15 @@ def soliton_mismatch(lam: complex, c: complex) -> complex:
     return translation - cubic
 
 
-def soliton_obstruction(c, lam_samples,
-                        mismatch_floor: float = 1e-8) -> CheckRecord:
-    """Fraction of generic lambda with nonvanishing phase mismatch."""
+def soliton_obstruction(c, lam_samples) -> CheckRecord:
+    """Fraction of generic lambda with phase mismatch above MISMATCH_FLOOR."""
     anchor = "soliton-phase-obstruction"
     c = complex(c)
     lams = [complex(l) for l in lam_samples]
     if any(l == 0 for l in lams):
         raise ValueError("lambda samples must exclude 0")
     n_generic = sum(abs(complex(l).imag) > 1e-12 for l in lams)
-    hits = sum(abs(soliton_mismatch(l, c)) > mismatch_floor for l in lams)
+    hits = sum(abs(soliton_mismatch(l, c)) > MISMATCH_FLOOR for l in lams)
     frac = hits / len(lams)
     details = {"c": [c.real, c.imag], "fraction": frac,
                "n_samples": len(lams)}
@@ -360,6 +372,26 @@ def soliton_obstruction(c, lam_samples,
         details["warning"] = "insufficient generic samples (most lambda real)"
     res = max(0.0, SOLITON_MIN_FRACTION - frac)
     return _record(f"soliton_obstruction_c={c:g}", anchor, res, 0.0, details)
+
+
+def soliton_samples(rng) -> np.ndarray:
+    """SOLITON_SAMPLES lambda per annulus of SOLITON_ANNULI, drawn from rng:
+    log-uniform radius, then uniform phase."""
+    lams = []
+    for rmin, rmax in SOLITON_ANNULI:
+        radii = np.exp(rng.uniform(np.log(rmin), np.log(rmax),
+                                   size=SOLITON_SAMPLES))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=SOLITON_SAMPLES)
+        lams.append(radii * np.exp(1j * phases))
+    return np.concatenate(lams)
+
+
+def soliton_records(seed: int) -> list:
+    """soliton_obstruction for each of SOLITON_VELOCITIES, each on its own
+    soliton_samples draw from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    return [soliton_obstruction(c, soliton_samples(rng))
+            for c in SOLITON_VELOCITIES]
 
 
 def transparency_chain_demo(v_weak: Potential,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nvscatter.cli import (CACHE_ENV, ConfigError, build_inputs, load_config,
-                           main)
+                           main, make_parser)
 
 BASE = {
     "potential": {"family": "gaussian", "params": {"A": 0.2, "sigma": 1.0}},
@@ -40,20 +40,51 @@ def test_load_config_bad_json(tmp_path):
 
 
 def test_load_config_unknown_key(tmp_path, capsys):
-    """Unknown keys, and the removed threads, solver.mu_tol,
-    solver.eps_weight and solver.table_refine, are config errors that name
-    the key."""
+    """Unknown keys, the removed threads, solver.mu_tol, solver.eps_weight,
+    solver.table_refine, checks.dbar_step, checks.shift_zeta,
+    checks.shift_tol, checks.mu_z_samples and soliton section, and a
+    checks.include that is empty or names an unknown check, are config
+    errors that name the key."""
     p = write_cfg(tmp_path, extra_key={"x": 1})
     with pytest.raises(ConfigError, match="extra_key"):
         load_config(p)
     for key, cfg in [("threads", {"threads": 2}),
                      ("mu_tol", {"solver": {"mu_tol": 1e-8}}),
                      ("eps_weight", {"solver": {"eps_weight": 2.0}}),
-                     ("table_refine", {"solver": {"table_refine": 2}})]:
+                     ("table_refine", {"solver": {"table_refine": 2}}),
+                     ("dbar_step", {"checks": {"dbar_step": 1e-3}}),
+                     ("shift_zeta", {"checks": {"shift_zeta": [1, 1]}}),
+                     ("shift_tol", {"checks": {"shift_tol": 1e-3}}),
+                     ("mu_z_samples", {"checks": {"mu_z_samples": [[0, 0]]}}),
+                     ("soliton", {"soliton": {"c_values": [[0, 0]]}}),
+                     ("soliton", {"soliton": {"annuli": [[0.01, 0.1]]}}),
+                     ("soliton", {"soliton": {"n_samples": 16}}),
+                     ("soliton", {"soliton": {"mismatch_floor": 1e-8}}),
+                     ("'dbar-a' is not one of",
+                      {"checks": {"include": ["dbar-a"]}}),
+                     ("checks/include", {"checks": {"include": []}})]:
         p = write_cfg(tmp_path, **cfg)
         assert main(["scan", "--config", p,
                      "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, rejected", [
+    ("scan", {"cache_dir"}, ["--seed"]),
+    ("verify", {"seed", "cache_dir"}, []),
+    ("demo-soliton", {"seed"}, ["--cache-dir"]),
+    ("export", {"scan_file"}, ["--seed", "--cache-dir"]),
+], ids=["scan", "verify", "demo-soliton", "export"])
+def test_subcommand_flags(command, flags, rejected, tmp_path, capsys):
+    # each command takes only the flags it reads; any other is a usage error
+    args = make_parser().parse_args([command])
+    assert set(vars(args)) == {"command", "config", "out"} | flags
+    for flag in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "o"), flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_path_in_error(tmp_path):
@@ -199,10 +230,11 @@ def test_verify_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
     # a mu solve that fails at one stencil point of dbar_a is an error with
     # the record's flag, not a traceback
     import nvscatter.scattering as scattering
+    import nvscatter.verify as verify
     from nvscatter.lippmann import ExceptionalSetError
 
     lam = 0.5 + 0j
-    bad = lam + 1e-3
+    bad = lam + verify.FD_STEP
     solve = scattering.solve_mu
 
     def failing(v, table, **kwargs):
@@ -212,8 +244,7 @@ def test_verify_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(scattering, "solve_mu", failing)
     cfg = write_cfg(tmp_path, checks={"include": ["dbar_a"],
-                                      "dbar_lambda": [0.5, 0.0],
-                                      "dbar_step": 1e-3})
+                                      "dbar_lambda": [0.5, 0.0]})
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -221,17 +252,16 @@ def test_verify_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_soliton_only(tmp_path):
-    cfg = write_cfg(tmp_path, checks={"include": ["soliton_obstruction"]},
-                    soliton={"c_values": [[0, 0], [1, 2]], "n_samples": 16})
+    # one record per verify.SOLITON_VELOCITIES
+    cfg = write_cfg(tmp_path, checks={"include": ["soliton_obstruction"]})
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
     assert rc == 0
     doc = json.loads((tmp_path / "v" / "report.json").read_text())
-    assert len(doc["records"]) == 2
+    assert len(doc["records"]) == 3
 
 
 def test_demo_soliton(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, soliton={"c_values": [[4, 3]],
-                                       "n_samples": 32})
+    cfg = write_cfg(tmp_path)
     out = tmp_path / "d"
     rc = main(["demo-soliton", "--config", cfg, "--out", str(out)])
     assert rc == 0

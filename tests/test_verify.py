@@ -87,7 +87,7 @@ def test_dbar_a_stencil_guard(weak64):
 
 def test_dbar_mu(weak64):
     lam = 0.5 * np.exp(0.25j * np.pi)
-    rec = check_dbar_mu(weak64, [0.0, 1.0, 1.0j], lam)
+    rec = check_dbar_mu(weak64, lam)
     assert rec.status == "pass", rec.residual
     assert rec.details["fd_consistent"]
 
@@ -101,8 +101,8 @@ def test_dbar_lndelta(weak64):
 def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
     grid = make_grid(8.0, 16)
     v = sample_potential(grid, "gaussian", {"A": 0.3, "sigma": 1.0})
-    lam, h = 0.4 + 0j, 1e-3
-    check_dbar_lndelta(v, lam, h_step=h, cache_dir=tmp_path)
+    lam, h = 0.4 + 0j, verify.FD_STEP
+    check_dbar_lndelta(v, lam, cache_dir=tmp_path)
     files = set(os.listdir(tmp_path))
     for step in (h, h / 2):
         for l in (lam + step, lam - step, lam + 1j * step, lam - 1j * step):
@@ -111,7 +111,7 @@ def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
 
 @pytest.mark.parametrize("check", [
     lambda v, lam: check_dbar_a(v, lam),
-    lambda v, lam: check_dbar_mu(v, [0.0, 1.0, 1.0j], lam),
+    lambda v, lam: check_dbar_mu(v, lam),
     lambda v, lam: check_dbar_lndelta(v, lam, tol=0.12),
 ], ids=["dbar_a", "dbar_mu", "dbar_lndelta"])
 def test_dbar_inconsistent_half_step_reports_larger_residual(
