@@ -5,10 +5,10 @@ Commands, and the flags each takes besides --config and --out:
                   (--cache-dir)
     verify        run the identity-check suite; write report JSON + text
                   (--seed, --cache-dir)
-    demo-soliton  phase-mismatch demonstration for traveling-wave candidates
-                  (--seed)
-    export        re-emit CSV mirrors from a previous scan's JSON output
-                  (--scan-file)
+
+The traveling-wave obstruction is the verify check `soliton_obstruction`
+(`checks.include: ["soliton_obstruction"]` runs it alone);
+demos/soliton_obstruction.py tells its story.
 
 Any other flag is a usage error (exit 2 from argparse).  A config key
 outside CONFIG_SCHEMA, or a `checks.include` that is empty or names a check
@@ -33,8 +33,8 @@ import jsonschema
 from .grids import (Potential, load_potential, make_grid, make_lambda_grid,
                     sample_potential)
 from .lippmann import save_determinant_csv
-from .scattering import (ScatteringData, load_scattering, save_scattering,
-                         save_scattering_csv, scan, write_scattering_csv)
+from .scattering import (ScatteringData, save_scattering, save_scattering_csv,
+                         scan)
 from . import verify as V
 
 CACHE_ENV = "NVSCATTER_CACHE"
@@ -99,7 +99,6 @@ CONFIG_SCHEMA = {
         },
         "output_dir": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
-        "scan_file": {"type": "string"},
     },
 }
 
@@ -211,7 +210,7 @@ def run_checks(cfg: dict, cache_dir, seed: int):
     if "soliton_obstruction" in include:
         records.extend(V.soliton_records(seed))
     if "transparency_chain" in include:
-        records.append(V.transparency_chain_demo(v, data))
+        records.append(V.check_transparency(v, data))
     meta = {"grid": {"R": v.grid.R, "N": v.grid.N},
             "potential": {"family": v.family, "params": v.params,
                           "fingerprint": v.fingerprint()},
@@ -229,77 +228,34 @@ def cmd_verify(cfg: dict, out_dir: str, cache_dir, seed: int) -> int:
     return 0 if report.overall == "pass" else 2
 
 
-def cmd_demo_soliton(out_dir: str, seed: int) -> int:
-    records = V.soliton_records(seed)
-    os.makedirs(out_dir, exist_ok=True)
-    report = V.assemble_report(records, {"seed": seed})
-    V.save_report(report, os.path.join(out_dir, "soliton_report.json"))
-    print("Traveling-wave obstruction demo")
-    print("-------------------------------")
-    for r in records:
-        c = r.details["c"]
-        frac = r.details["fraction"]
-        print(f"velocity c = {c[0]:+g}{c[1]:+g}i: phase mismatch nonzero at "
-              f"{100 * frac:.1f}% of sampled spectral points -> {r.status}")
-        if "warning" in r.details:
-            print(f"  warning: {r.details['warning']}")
-    print("A localized traveling wave would need the translation phase to")
-    print("match the cubic flow phase at every spectral point; the nonzero")
-    print("mismatch on open regions near 0 and infinity forces its")
-    print("scattering coefficient b to vanish there, and hence everywhere --")
-    print("so no such (regular, decaying) soliton exists.")
-    return 0 if report.overall == "pass" else 2
-
-
-def cmd_export(cfg: dict, out_dir: str, scan_file: str | None) -> int:
-    src = scan_file or cfg.get("scan_file") or os.path.join(
-        cfg.get("output_dir", "."), "scattering.json")
-    doc = load_scattering(src)
-    os.makedirs(out_dir, exist_ok=True)
-    dst = os.path.join(out_dir, "scattering_export.csv")
-    write_scattering_csv(dst, doc["lambda"], doc["a"], doc["b"],
-                         doc["delta"], doc["flags"])
-    print(f"export: wrote {dst}")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     """One subparser per command, with only the flags that command reads."""
     p = argparse.ArgumentParser(prog="nvscatter", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    cmds = {name: sub.add_parser(name)
-            for name in ("scan", "verify", "demo-soliton", "export")}
+    cmds = {name: sub.add_parser(name) for name in ("scan", "verify")}
     for sp in cmds.values():
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default from config)")
-    for name in ("verify", "demo-soliton"):
-        cmds[name].add_argument("--seed", type=int, default=None,
+        sp.add_argument("--cache-dir", default=None,
+                        help=f"greens-table cache (default ${CACHE_ENV})")
+    cmds["verify"].add_argument("--seed", type=int, default=None,
                                 help="soliton sample seed (default from "
                                      "config, else 0)")
-    for name in ("scan", "verify"):
-        cmds[name].add_argument("--cache-dir", default=None,
-                                help=f"greens-table cache (default "
-                                     f"${CACHE_ENV})")
-    cmds["export"].add_argument("--scan-file", default=None,
-                                help="scattering JSON to convert")
     return p
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    opts = vars(args)
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("output_dir", ".")
-        seed = cfg.get("seed", 0) if opts.get("seed") is None else args.seed
-        cache_dir = opts.get("cache_dir") or os.environ.get(CACHE_ENV) or None
+        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
         if args.command == "scan":
             return cmd_scan(cfg, out_dir, cache_dir)
         if args.command == "verify":
+            seed = cfg.get("seed", 0) if args.seed is None else args.seed
             return cmd_verify(cfg, out_dir, cache_dir, seed)
-        if args.command == "demo-soliton":
-            return cmd_demo_soliton(out_dir, seed)
-        return cmd_export(cfg, out_dir, args.scan_file)
+        raise AssertionError(f"unhandled command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

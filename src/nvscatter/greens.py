@@ -75,7 +75,7 @@ class QuadratureError(RuntimeError):
 
 
 def _as_lambda(lam) -> complex:
-    lam = complex(getattr(lam, "lam", lam))
+    lam = complex(lam)
     if lam == 0 or not np.isfinite(lam):
         raise ValueError("lambda must be nonzero and finite")
     return lam
@@ -516,8 +516,6 @@ def build_greens_table(grid: Grid, lam, cache_dir=None) -> GreensTable:
         "xi_inner": quad.xi_inner,
         "xi_outer": quad.xi_outer,
     }
-    if record["near_T"]:
-        record["flag"] = "near-exceptional-circle geometry"
     table = GreensTable(lam_c, grid, g, record)
     if cache_path is not None:
         os.makedirs(str(cache_dir), exist_ok=True)

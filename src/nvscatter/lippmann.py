@@ -108,9 +108,6 @@ def solve_mu(v: Potential, table: GreensTable) -> MuField:
     """
     _check_same_grid(v, table)
     N = v.grid.N
-    if not np.any(v.samples):
-        return MuField(table.lam, v.grid, np.ones((N, N), dtype=complex),
-                       0.0, 0)
     khat = conv_kernel_hat(table)
     vv = v.samples
 
@@ -206,9 +203,6 @@ def build_kernel(v: Potential, table: GreensTable) -> KernelMatrix:
     absv = np.abs(v.samples)
     support = absv > SUPPORT_RTOL * np.max(absv)
     n_support = int(np.count_nonzero(support))
-    if n_support == 0:
-        return KernelMatrix(table.lam, v.grid, support,
-                            np.zeros((0, 0), dtype=complex), 0j, 0.0, 0.0, 0)
     col = v.samples[support] * h * h
     w = (1.0 + np.abs(v.grid.nodes()[support])) ** ((2.0 + v.eps) / 2.0)
     row_w = (1.0 + np.abs(v.grid.nodes())) ** (-(2.0 + v.eps))

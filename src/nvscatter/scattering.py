@@ -235,8 +235,8 @@ def load_scattering(path) -> dict:
     return doc
 
 
-def write_scattering_csv(path, lams, a, b, deltas, flags) -> None:
-    """CSV mirror of per-lambda columns; a missing Delta (None) is NaN.
+def save_scattering_csv(data: ScatteringData, path) -> None:
+    """CSV mirror of the per-lambda columns; a missing Delta is NaN.
 
     Floats are written with repr, so they round-trip exactly.
     """
@@ -245,20 +245,11 @@ def write_scattering_csv(path, lams, a, b, deltas, flags) -> None:
         wr.writerow(["re_lambda", "im_lambda", "abs_lambda", "arg_lambda",
                      "re_a", "im_a", "re_b", "im_b", "re_delta", "im_delta",
                      "flags"])
-        for lam, ai, bi, d, fl in zip(lams, a, b, deltas, flags):
-            lam = complex(lam)
-            ai, bi = complex(ai), complex(bi)
-            d = complex(d) if d is not None else complex(np.nan, 0.0)
+        for r in data.records:
+            lam, ai, bi = complex(r.lam), complex(r.a), complex(r.b)
+            d = (complex(r.delta.delta) if r.delta is not None
+                 else complex(np.nan, 0.0))
             wr.writerow([repr(lam.real), repr(lam.imag), repr(abs(lam)),
                          repr(float(np.angle(lam))), repr(ai.real),
                          repr(ai.imag), repr(bi.real), repr(bi.imag),
-                         repr(d.real), repr(d.imag), ";".join(fl)])
-
-
-def save_scattering_csv(data: ScatteringData, path) -> None:
-    recs = data.records
-    write_scattering_csv(path, [r.lam for r in recs], [r.a for r in recs],
-                         [r.b for r in recs],
-                         [r.delta.delta if r.delta is not None else None
-                          for r in recs],
-                         [r.flags for r in recs])
+                         repr(d.real), repr(d.imag), ";".join(r.flags)])

@@ -46,7 +46,7 @@ MISMATCH_FLOOR = 1e-8
 SOLITON_VELOCITIES = (0, 1, 4 + 3j)
 SOLITON_ANNULI = ((0.01, 0.1), (10.0, 100.0))
 SOLITON_SAMPLES = 64
-# transparency_chain_demo: max|b| must reach this fraction of max|Born b|
+# check_transparency: max|b| must reach this fraction of max|Born b|
 TRANSPARENCY_FACTOR = 0.5
 
 
@@ -394,8 +394,8 @@ def soliton_records(seed: int) -> list:
             for c in SOLITON_VELOCITIES]
 
 
-def transparency_chain_demo(v_weak: Potential,
-                            data: ScatteringData) -> CheckRecord:
+def check_transparency(v_weak: Potential,
+                       data: ScatteringData) -> CheckRecord:
     """A visibly nonzero weak potential must scatter: max|b| is at least
     TRANSPARENCY_FACTOR times the Born prediction somewhere on the grid."""
     anchor = "no-transparent-potentials"

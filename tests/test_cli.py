@@ -42,9 +42,9 @@ def test_load_config_bad_json(tmp_path):
 def test_load_config_unknown_key(tmp_path, capsys):
     """Unknown keys, the removed threads, solver.mu_tol, solver.eps_weight,
     solver.table_refine, checks.dbar_step, checks.shift_zeta,
-    checks.shift_tol, checks.mu_z_samples and soliton section, and a
-    checks.include that is empty or names an unknown check, are config
-    errors that name the key."""
+    checks.shift_tol, checks.mu_z_samples, soliton section and scan_file,
+    and a checks.include that is empty or names an unknown check, are
+    config errors that name the key."""
     p = write_cfg(tmp_path, extra_key={"x": 1})
     with pytest.raises(ConfigError, match="extra_key"):
         load_config(p)
@@ -60,6 +60,7 @@ def test_load_config_unknown_key(tmp_path, capsys):
                      ("soliton", {"soliton": {"annuli": [[0.01, 0.1]]}}),
                      ("soliton", {"soliton": {"n_samples": 16}}),
                      ("soliton", {"soliton": {"mismatch_floor": 1e-8}}),
+                     ("scan_file", {"scan_file": "scattering.json"}),
                      ("'dbar-a' is not one of",
                       {"checks": {"include": ["dbar-a"]}}),
                      ("checks/include", {"checks": {"include": []}})]:
@@ -72,13 +73,21 @@ def test_load_config_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("command, flags, rejected", [
     ("scan", {"cache_dir"}, ["--seed"]),
     ("verify", {"seed", "cache_dir"}, []),
-    ("demo-soliton", {"seed"}, ["--cache-dir"]),
-    ("export", {"scan_file"}, ["--seed", "--cache-dir"]),
+    ("demo-soliton", None, []),
+    ("export", None, []),
 ], ids=["scan", "verify", "demo-soliton", "export"])
 def test_subcommand_flags(command, flags, rejected, tmp_path, capsys):
-    # each command takes only the flags it reads; any other is a usage error
-    args = make_parser().parse_args([command])
-    assert set(vars(args)) == {"command", "config", "out"} | flags
+    """Each command takes only the flags it reads, and any other is a usage
+    error (exit 2).  scan and verify are the only commands: any other name
+    (flags None), such as demo-soliton or export, is a usage error too."""
+    if flags is None:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    else:
+        args = make_parser().parse_args([command])
+        assert set(vars(args)) == {"command", "config", "out"} | flags
     for flag in rejected:
         with pytest.raises(SystemExit) as exc:
             main([command, "--out", str(tmp_path / "o"), flag, "5"])
@@ -124,6 +133,10 @@ def test_scan_command(tmp_path, capsys):
     assert (out / "scattering.csv").exists()
     assert (out / "determinant.csv").exists()
     assert "0 flagged" in capsys.readouterr().out
+    lines = (out / "scattering.csv").read_text().splitlines()
+    assert lines[0].startswith("re_lambda,")
+    # header + samples: radius 0.5 mirrored to 2.0, 2 phases each, 2 on T
+    assert len(lines) == 1 + 6
 
 
 def test_determinant_csv_has_one_row_per_lambda(tmp_path, monkeypatch):
@@ -260,45 +273,14 @@ def test_verify_soliton_only(tmp_path):
     assert len(doc["records"]) == 3
 
 
-def test_demo_soliton(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "d"
-    rc = main(["demo-soliton", "--config", cfg, "--out", str(out)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "velocity c = +4+3i" in text
-    assert "no such" in text
-    assert (out / "soliton_report.json").exists()
-
-
-def test_demo_soliton_seed_determinism(tmp_path):
-    cfg = write_cfg(tmp_path)
+def test_verify_soliton_seed_determinism(tmp_path):
+    # the soliton samples are drawn from --seed: equal seeds, equal records
+    cfg = write_cfg(tmp_path, checks={"include": ["soliton_obstruction"]})
     o1, o2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["demo-soliton", "--config", cfg, "--out", str(o1),
-                 "--seed", "7"]) == 0
-    assert main(["demo-soliton", "--config", cfg, "--out", str(o2),
-                 "--seed", "7"]) == 0
-    r1 = json.loads((o1 / "soliton_report.json").read_text())
-    r2 = json.loads((o2 / "soliton_report.json").read_text())
+    for out in (o1, o2):
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--seed", "7"]) == 0
+    r1 = json.loads((o1 / "report.json").read_text())["records"]
+    r2 = json.loads((o2 / "report.json").read_text())["records"]
+    assert len(r1) == 3
     assert r1 == r2
-
-
-def test_export_roundtrip(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
-    rc = main(["export", "--config", cfg, "--out", str(out), "--scan-file",
-               str(out / "scattering.json")])
-    assert rc == 0
-    lines = (out / "scattering_export.csv").read_text().splitlines()
-    assert lines[0].startswith("re_lambda,")
-    # header + samples: radius 0.5 mirrored to 2.0, 2 phases each, 2 on T
-    assert len(lines) == 1 + 6
-    # one format: the export reproduces the scan's own CSV mirror exactly
-    assert lines == (out / "scattering.csv").read_text().splitlines()
-
-
-def test_export_missing_scan_exit_1(tmp_path, capsys):
-    rc = main(["export", "--out", str(tmp_path), "--scan-file",
-               str(tmp_path / "missing.json")])
-    assert rc == 1

@@ -276,9 +276,10 @@ def test_near_T_flag():
     grid = make_grid(8.0, 16)
     t = build_greens_table(grid, complex(1.0 + 2e-4, 0.0))
     assert t.record["near_T"]
-    assert "flag" in t.record
+    assert "flag" not in t.record
     t2 = build_greens_table(grid, 0.5)
     assert not t2.record["near_T"]
+    assert "flag" not in t2.record
 
 
 def test_greens_G_prefactor(table64):

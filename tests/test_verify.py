@@ -14,8 +14,8 @@ from nvscatter.verify import (CheckRecord, VerificationReport,
                               assemble_report, check_ab_on_T, check_dbar_a,
                               check_dbar_lndelta, check_dbar_mu,
                               check_delta_properties, check_shift_lemma,
-                              save_report, shift_phase, soliton_mismatch,
-                              soliton_obstruction, transparency_chain_demo)
+                              check_transparency, save_report, shift_phase,
+                              soliton_mismatch, soliton_obstruction)
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +180,11 @@ def test_soliton_obstruction_degenerate_samples():
 
 
 def test_transparency_chain(weak64, scan64, grid64):
-    rec = transparency_chain_demo(weak64, scan64)
+    rec = check_transparency(weak64, scan64)
     assert rec.status == "pass"
     assert rec.details["max_b"] > 0
     v0 = sample_potential(grid64, "gaussian", {"A": 0.0, "sigma": 1.0})
-    assert transparency_chain_demo(v0, scan64).status == "inapplicable"
+    assert check_transparency(v0, scan64).status == "inapplicable"
 
 
 def test_assemble_report():
