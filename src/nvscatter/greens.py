@@ -17,10 +17,13 @@ exponentially decaying residue terms.  The remaining 1D xi2 integral is
 smooth except at the finitely many points where a root crosses the real
 axis (exactly the imaginary parts of the symbol singularities); it is done
 by panelwise Gauss-Legendre quadrature graded geometrically toward those
-breakpoints, with the slowly decaying |x1| ~ 0 tails added in closed form
-through the exponential integral E1.  The scheme stays uniformly accurate
-across the unit circle |lambda| = 1, where the two symbol singularities
-collide and naive 2D grid quadrature of the symbol breaks down.
+breakpoints, out to |xi2| = xi_inner.  Beyond xi_inner only the rows with
+|x1| < 45/xi_inner still see the integrand; there it is expanded to six
+terms in 1/(xi2 +/- m), and each term integrates in closed form to an
+exponential integral E_n, n <= 6, taken in the scaled form e^w E_n(w) so
+that no factor can overflow.  The scheme stays uniformly accurate across
+the unit circle |lambda| = 1, where the two symbol singularities collide
+and naive 2D grid quadrature of the symbol breaks down.
 
 On |lambda| = 1 the exact value is G(z, lambda) = -K0(|z|) / (2 pi).
 """
@@ -66,8 +69,8 @@ EXP_FLOOR = math.log(np.finfo(float).tiny) / 4.0
 # a table whose error probe reads above this raises QuadratureError
 ERROR_THRESHOLD = 1e-5
 
-# smallest grid spacing greens_points resolves (sets the outer xi cut-off)
-POINTS_H_MIN = 0.1
+# the table rule's name in records and cache keys; a new rule gets a new id
+RULE_ID = f"residue1d-gl16-tail6-avg{CELL_AVG_RADIUS}"
 
 
 class QuadratureError(RuntimeError):
@@ -153,15 +156,82 @@ def _floored_exp(z: np.ndarray) -> np.ndarray:
     return np.exp(z, out=np.zeros_like(z), where=z.real >= EXP_FLOOR)
 
 
+def _tail_coefficients(a: np.ndarray) -> np.ndarray:
+    """c_n(a), n < 6, of pi e^{-S a} / S = pi e^{-u a} sum_n c_n(a) u^(-n-1),
+    S = sqrt(u^2 + 1); shape (6,) + a.shape."""
+    a2 = a * a
+    return np.array([np.ones_like(a),
+                     -a / 2.0,
+                     a2 / 8.0 - 0.5,
+                     a * (3.0 / 8.0 - a2 / 48.0),
+                     a2 * a2 / 384.0 - a2 / 8.0 + 3.0 / 8.0,
+                     a * (-a2 * a2 / 3840.0 + 5.0 * a2 / 192.0 - 5.0 / 16.0)])
+
+
+def _scaled_expn(w: np.ndarray, n: int) -> np.ndarray:
+    """e^w E_k(w) for k = 1..n, shape (n,) + w.shape, for w != 0 off the
+    negative real axis.
+
+    Where |w| < 2, or Re w < 0 and |w| < 80: e^w E_1(w) from scipy's
+    exp1, then upward recurrence e_{k+1} = (1 - w e_k) / k.  Its relative
+    error grows like |w|^(k-1) / (k-1)!: for k = 6 it reaches 1.8e-8 just
+    inside |w| = 80 next to the negative real axis, where _tail weighs e_6
+    by |U|^-5 <= 40^-5.  Elsewhere e_n comes from the even continued
+    fraction of E_n (modified Lentz, each entry iterated until it has
+    converged: at most 81 iterations there for n = 6), then downward
+    recurrence e_k = (1 - k e_{k+1}) / w, which amplifies relative errors
+    by at most 5!/|w|^5 < 4 there.  The continued fraction is not used
+    next to the negative real axis at moderate |w|, where it converges
+    slowly (over 10^4 iterations at |w| = 5, arg w = 3.1).
+    """
+    w = np.asarray(w, dtype=complex)
+    out = np.empty((n,) + w.shape, dtype=complex)
+    r = np.abs(w)
+    up = (r < 2.0) | ((w.real < 0) & (r < 80.0))
+    x = w[up]
+    e = np.exp(x) * exp1(x)
+    for k in range(n):
+        out[k][up] = e
+        e = (1.0 - x * e) / (k + 1)
+
+    x = w[~up]
+    todo = np.arange(x.size)
+    b = x + n
+    c = np.full_like(b, 1e300)
+    d = 1.0 / b
+    f = d.copy()
+    e = np.empty_like(b)
+    for i in range(1, 501):
+        if not todo.size:
+            break
+        an = -i * (n - 1.0 + i)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        f = f * step
+        done = np.abs(step - 1.0) < 4.0 * np.finfo(float).eps
+        e[todo[done]] = f[done]
+        todo, b, c, d, f = (v[~done] for v in (todo, b, c, d, f))
+    if todo.size:
+        raise QuadratureError(f"E_{n} continued fraction did not converge "
+                              f"at w = {x[todo[0]]}")
+    for k in range(n, 0, -1):
+        out[k - 1][~up] = e
+        e = (1.0 - (k - 1) * e) / x
+    return out
+
+
 class _SymbolQuadrature:
     """Residue-reduced evaluator of g(z, lambda) at arbitrary points.
 
-    Splits the xi2 axis into an inner zone (used by every target point) and
-    an outer zone that only points with small |x1| need; beyond the outer
-    cutoff the integral is added analytically via E1.
+    Gauss panels cover the inner zone |xi2| <= xi_inner, which every target
+    point uses; beyond it the six-term tail (_tail) is added in closed form
+    on the rows that need it.  refine = 2 doubles both the Gauss order and
+    xi_inner.
     """
 
-    def __init__(self, lam, x_extent: float, h_min: float, refine: int = 1):
+    def __init__(self, lam, x_extent: float, refine: int = 1):
         self.lam = _as_lambda(lam)
         self.A = 0.5 * (self.lam + 1.0 / self.lam)
         self.m = 0.5 * (self.lam - 1.0 / self.lam)
@@ -171,22 +241,13 @@ class _SymbolQuadrature:
         # panel width cap resolving exp(i xi2 x2) and the x1-induced phase
         osc = max(2.0 * x_extent, 4.0)
         w_max = 2.0 * (self.order - 3) / osc
-        self.xi_inner = max(60.0, b_max + 40.0)
-        self.xi_outer = max(self.xi_inner + 1.0, 45.0 / max(h_min, 1e-3), 440.0)
-        self.x1_zone = 45.0 / self.xi_inner
+        self.xi_inner = int(refine) * max(60.0, b_max + 40.0)
 
         edges = {-self.xi_inner, self.xi_inner}
         for b in bps:
             edges.update(_graded_edges(b, -self.xi_inner, self.xi_inner))
         inner_edges = _split_wide(np.array(sorted(edges)), w_max)
         self.nodes_in, self.w_in = _panel_rule(inner_edges, self.order)
-
-        outer_hi = _split_wide(np.array([self.xi_inner, self.xi_outer]), w_max)
-        outer_lo = -outer_hi[::-1]
-        n_hi, w_hi = _panel_rule(outer_hi, self.order)
-        n_lo, w_lo = _panel_rule(outer_lo, self.order)
-        self.nodes_out = np.concatenate([n_lo, n_hi])
-        self.w_out = np.concatenate([w_lo, w_hi])
 
     # -- residue sum over the inner xi1 integral ---------------------------
 
@@ -269,47 +330,41 @@ class _SymbolQuadrature:
                     * _floored_exp(1j * np.outer(q, t))[:, None, :])
         return out.reshape(self.nodes_in.size, -1)
 
-    def _zones(self, x1: np.ndarray):
-        """Masks over x1: the outer zone is needed where |x1| < x1_zone,
-        the analytic E1 tail where |x1| * xi_outer < 40."""
-        a = np.abs(x1)
-        return a < self.x1_zone, a * self.xi_outer < 40.0
+    def _tailed(self, x1: np.ndarray) -> np.ndarray:
+        """Rows that get the tail; elsewhere it is below exp(-45) of the
+        integrand's scale."""
+        return np.abs(x1) * self.xi_inner < 45.0
 
     def _tail(self, x1: np.ndarray, x2: np.ndarray):
-        """Analytic |xi2| > xi_outer remainder, broadcast over x1 and x2;
-        0 at x1 = x2 = 0, where it diverges."""
+        """The |xi2| > xi_inner part of the xi2 integral, broadcast over x1
+        and x2; 0 at x1 = x2 = 0, where it diverges.
+
+        There a single pole closes on each side and the xi1 integral is
+        (pi/S) e^{A x1} e^{-S a}, a = |x1|, S = sqrt(u^2 + 1), with
+        u = xi2 + m (xi2 > 0) or -(xi2 + m) (xi2 < 0).  Expanded as
+        pi e^{-u a} sum_n c_n(a) u^(-n-1), term n integrates to
+        U^-n E_{n+1}(U z) with U = xi_inner +/- m, z = a -/+ i x2.  With
+        w = U z and the scaled e^w E_n(w), the side's sum is
+        pi exp(A x1 - i m x2 - w) sum_n c_n U^-n (e^w E_{n+1}(w)), whose
+        exponent has real part <= -(xi_inner - b_max - 1) a <= 0.
+        """
         x1, x2 = np.broadcast_arrays(x1, x2)
         keep = (np.abs(x1) + np.abs(x2)) > 0
         x1, x2 = x1[keep], x2[keep]
-        Xi = self.xi_outer
         a = np.abs(x1)
-        arg_p = (a - 1j * x2) * (Xi + self.m)
-        arg_m = (a + 1j * x2) * (Xi - self.m)
-        pref = np.pi * np.exp(self.A * x1 - 1j * self.m * x2)
+        c = _tail_coefficients(a)
+        base = self.A * x1 - 1j * self.m * x2
+        total = np.zeros(a.shape, dtype=complex)
+        for U, z in ((self.xi_inner + self.m, a - 1j * x2),
+                     (self.xi_inner - self.m, a + 1j * x2)):
+            w = U * z
+            e = _scaled_expn(w, len(c))
+            U_pow = U ** -np.arange(len(c))
+            total += (np.exp(base - w)
+                      * np.einsum("n,nk,nk->k", U_pow, c, e))
         out = np.zeros(keep.shape, dtype=complex)
-        out[keep] = pref * (exp1(arg_p) + exp1(arg_m))
+        out[keep] = np.pi * total
         return out
-
-    def _outer_tensor(self, x1: np.ndarray, shifts: np.ndarray,
-                      base: np.ndarray) -> np.ndarray:
-        """Outer-zone sum on x1 (rows) x (shifts (+) base) (cols).
-
-        Column b*len(base) + j sits at x2 = shifts[b] + base[j].  Since
-        exp(i xi (s + t)) = exp(i xi s) exp(i xi t), the Fourier factor is
-        one (K x len(base)) exp shared by all blocks; each block multiplies
-        one exp(i xi s) column into the weighted integrand and does a small
-        matmul.  The blocks share one buffer for the shifted integrand,
-        which spares a fresh (page-faulted) allocation per block.
-        """
-        I_out = self._residue_integrand(self.nodes_out, x1) * self.w_out[:, None]
-        F_base = np.exp(1j * np.outer(self.nodes_out, base))
-        shifted = np.empty_like(I_out)
-        out = np.empty((x1.size, shifts.size, base.size), dtype=complex)
-        for b, s in enumerate(shifts):
-            col = np.exp(1j * s * self.nodes_out)[:, None]
-            np.multiply(I_out, col, out=shifted)
-            out[:, b, :] = shifted.T @ F_base
-        return out.reshape(x1.size, -1)
 
     # -- public evaluation --------------------------------------------------
 
@@ -329,9 +384,9 @@ class _SymbolQuadrature:
         one complex product instead of K_in x len(x) exps.  Residue
         factors whose exponent lies below the underflow floor EXP_FLOOR
         are exact zeros, so no subnormal number reaches the products or
-        the GEMM.  The outer zone (only the |x1| < x1_zone rows) is
-        block-shifted, see _outer_tensor.  The x1 = x2 = 0 entry, if
-        present, is left as the (meaningless) truncated value.
+        the GEMM.  The tail beyond xi_inner is added on the rows with
+        |x1| < 45 / xi_inner.  The x1 = x2 = 0 entry, if present, is left
+        as the (meaningless) truncated value.
         """
         sign = np.where(x1_shifts < 0, -1.0, 1.0)
         x1 = (x1_shifts[:, None] + sign[:, None] * x1_base[None, :]).ravel()
@@ -341,12 +396,7 @@ class _SymbolQuadrature:
         F_in = (F_shift[:, :, None] * F_base[:, None, :]).reshape(-1, x2.size)
         I_in = self._residue_tensor(x1_shifts, x1_base)
         g = I_in.T @ F_in
-        # free the two K_in x len(x) factors before the outer zone allocates
-        del I_in, F_in
-
-        outer, tailed = self._zones(x1)
-        if outer.any():
-            g[outer, :] += self._outer_tensor(x1[outer], shifts, base)
+        tailed = self._tailed(x1)
         if tailed.any():
             g[tailed, :] += self._tail(x1[tailed, None], x2[None, :])
         return -g / FOURPI2
@@ -359,13 +409,7 @@ class _SymbolQuadrature:
         I_in = self._residue_integrand(self.nodes_in, x1)
         # diagonal of (I^T F): per-point contraction
         g = np.einsum("kj,kj->j", I_in, F_in)
-
-        outer, tailed = self._zones(x1)
-        if outer.any():
-            F_out = (np.exp(1j * self.nodes_out[:, None] * x2[None, outer])
-                     * self.w_out[:, None])
-            I_out = self._residue_integrand(self.nodes_out, x1[outer])
-            g[outer] += np.einsum("kj,kj->j", I_out, F_out)
+        tailed = self._tailed(x1)
         if tailed.any():
             g[tailed] += self._tail(x1[tailed], x2[tailed])
         return -g / FOURPI2
@@ -375,7 +419,7 @@ def greens_points(lam, z) -> np.ndarray:
     """Evaluate g(z, lambda) at arbitrary complex points."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     extent = float(np.max(np.abs(z))) if z.size else 1.0
-    quad = _SymbolQuadrature(lam, max(extent, 1.0), POINTS_H_MIN)
+    quad = _SymbolQuadrature(lam, max(extent, 1.0))
     return quad.eval_points(z.real, z.imag)
 
 
@@ -448,43 +492,45 @@ def build_greens_table(grid: Grid, lam, cache_dir=None) -> GreensTable:
     term exp(i p x1) over the rows, stepping outward from x1 = 0 on each
     side so that both factors decay.  Residue factors below the underflow
     floor EXP_FLOOR are stored as exact zeros, so no subnormal number
-    enters the products or the GEMM.  The rule (nodes, weights, cut-offs)
-    is unchanged by this and matches a full exp per entry to ~1e-14
-    relative to the largest entry.
+    enters the products or the GEMM; the factored product matches a full
+    exp per entry to ~1e-14 relative to the largest entry.  The six-term
+    tail beyond xi_inner is added on the rows |x1| < 45 / xi_inner.  On
+    |lambda| = 1 the table is within 6e-14 of the K0 closed form off the
+    origin patch at N = 64 and 128.
 
     The cells within CELL_AVG_RADIUS of the origin hold exact cell averages
     (product-integration handling of the log singularity).  Up to eight
-    diagonal entries outside that patch are re-evaluated at doubled Gauss
-    order; the largest absolute discrepancy is stored as
-    record["error_estimate"]; an estimate above ERROR_THRESHOLD, or any
-    entry or estimate that is not finite, raises QuadratureError.  The
-    probe keeps the same xi cut-offs (xi_inner, xi_outer) and E1 tail, so
-    it sees only the Gauss-order error, not the truncation error: it reads
-    ~1e-16 at N = 16..128 while the table differs from the K0 closed form
-    on |lambda| = 1 by up to 2.5e-9.
+    diagonal entries outside that patch, and the x1 = 0 column entries at
+    x2 = +/-2h, +/-3h next to it, are re-evaluated with both the Gauss
+    order and xi_inner doubled; the largest absolute discrepancy is stored
+    as record["error_estimate"].  It tracks the real error: at
+    lambda = e^{0.7i} it reads 3.5e-14 and 5.9e-14 at N = 64 and 128, where
+    the K0 closed form gives 3.5e-14 and 5.9e-14, and 1.5e-10 against
+    1.5e-10 at N = 64 with the tail cut to four terms.  An
+    estimate above ERROR_THRESHOLD, or any entry or estimate that is not
+    finite, raises QuadratureError.
     With cache_dir set, tables are reloaded from / saved to files keyed by
-    (lambda, R, N, rule id).
+    (lambda, R, N, RULE_ID).
     """
     lam_c = _as_lambda(lam)
-    rule_id = f"residue1d-gl16-avg{CELL_AVG_RADIUS}"
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(str(cache_dir),
-                                  cache_key(lam_c, grid, rule_id) + ".bin")
+                                  cache_key(lam_c, grid, RULE_ID) + ".bin")
         if os.path.exists(cache_path):
             table = load_table(cache_path)
             if (table.lam != lam_c or table.grid != grid
-                    or table.record["rule_id"] != rule_id):
+                    or table.record["rule_id"] != RULE_ID):
                 raise ValueError(
                     f"cache file {cache_path} holds lambda={table.lam!r}, "
                     f"R={table.grid.R!r}, N={table.grid.N}, rule "
                     f"{table.record['rule_id']!r}; requested "
                     f"lambda={lam_c!r}, R={grid.R!r}, N={grid.N}, rule "
-                    f"{rule_id!r}")
+                    f"{RULE_ID!r}")
             return table
     N, h = grid.N, grid.h
     d = (np.arange(2 * N) - N) * h
-    quad = _SymbolQuadrature(lam_c, 2.0 * grid.R, h)
+    quad = _SymbolQuadrature(lam_c, 2.0 * grid.R)
     shifts, base, order = _table_axis(N, h)
     block = math.gcd(2 * N, TENSOR_BLOCK)
     g = quad.eval_tensor(shifts, base, np.arange(0, 2 * N, block) * h,
@@ -497,12 +543,15 @@ def build_greens_table(grid: Grid, lam, cache_dir=None) -> GreensTable:
         raise QuadratureError(f"{n_bad} table entries are not finite at "
                               f"lambda={lam_c}")
 
-    probe = _SymbolQuadrature(lam_c, 2.0 * grid.R, h, refine=2)
+    probe = _SymbolQuadrature(lam_c, 2.0 * grid.R, refine=2)
     idx = np.linspace(1, 2 * N - 2, 8).astype(int)
     # skip the origin patch: those entries hold cell AVERAGES on purpose
     idx = idx[np.abs(idx - N) > CELL_AVG_RADIUS]
-    ref = probe.eval_points(d[idx], d[idx])
-    estimate = float(np.max(np.abs(ref - g[idx, idx])))
+    # the x1 = 0 column next to the patch, where the tail weighs most
+    rows = np.concatenate([idx, np.full(4, N)])
+    cols = np.concatenate([idx, N + np.array([-3, -2, 2, 3])])
+    ref = probe.eval_points(d[rows], d[cols])
+    estimate = float(np.max(np.abs(ref - g[rows, cols])))
     if not estimate <= ERROR_THRESHOLD:
         raise QuadratureError(
             f"quadrature error estimate {estimate:.2e} exceeds "
@@ -510,11 +559,10 @@ def build_greens_table(grid: Grid, lam, cache_dir=None) -> GreensTable:
 
     record = {
         "singular_points": [[z.real, z.imag] for z in singular_points(lam_c)],
-        "rule_id": rule_id,
+        "rule_id": RULE_ID,
         "error_estimate": estimate,
         "near_T": bool(abs(abs(lam_c) - 1.0) < 1e-3),
         "xi_inner": quad.xi_inner,
-        "xi_outer": quad.xi_outer,
     }
     table = GreensTable(lam_c, grid, g, record)
     if cache_path is not None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvscatter import scattering, verify
+from nvscatter import greens, scattering, verify
 from nvscatter.greens import GreensTable, cache_key
 from nvscatter.grids import make_grid, make_lambda_grid, sample_potential
 from nvscatter.scattering import scan
@@ -106,7 +106,7 @@ def test_dbar_lndelta_stencil_tables_use_cache(tmp_path):
     files = set(os.listdir(tmp_path))
     for step in (h, h / 2):
         for l in (lam + step, lam - step, lam + 1j * step, lam - 1j * step):
-            assert cache_key(l, grid, "residue1d-gl16-avg1") + ".bin" in files
+            assert cache_key(l, grid, greens.RULE_ID) + ".bin" in files
 
 
 @pytest.mark.parametrize("check", [
